@@ -6,8 +6,9 @@
 // The grid sweeps evaluation strategy × shard count × driver threads:
 // strategy ∈ {taat, maxscore} (the PostingList-block MaxScore evaluator vs
 // classic term-at-a-time), K ∈ {1, 2, 4} index shards (K = 1 is the
-// monolithic SearchEngine, K > 1 a driver-shared ShardedSearchEngine
-// fleet) at 1, 4 and hardware-concurrency worker threads. Session digests
+// monolithic SearchEngine, K > 1 a driver-shared LiveSearchEngine over the
+// corpus as K sealed segments) at 1, 4 and hardware-concurrency worker
+// threads. Session digests
 // must be identical across EVERY cell — strategies AND thread counts AND
 // shard counts — which is the serving-layer face of the bit-parity
 // invariant.
@@ -204,8 +205,8 @@ int main(int argc, char** argv) {
   // replay below — the deployment shape: the fleet is a server resource,
   // sessions are traffic (and a MaxScore engine's impact-bound tables are
   // paid for once, not per phase). TOPPRIV_SHARD_THREADS>1 additionally
-  // fans each query's shard evaluations out on the engine's private pool
-  // (stacked parallelism; digests must stay identical).
+  // fans each query's segment evaluations out on the fixture's fan-out
+  // pool (stacked parallelism; digests must stay identical).
   struct EngineCell {
     search::EvalStrategy strategy;
     size_t shards;
@@ -310,8 +311,8 @@ int main(int argc, char** argv) {
     }
     return uint64_t{0};
   };
-  size_t live_eval_threads = fixture.config().live_eval_threads;
-  if (live_eval_threads == 0) live_eval_threads = hw;
+  size_t eval_threads = fixture.config().shard_threads;
+  if (eval_threads == 0) eval_threads = hw;
   for (search::EvalStrategy strategy : kStrategies) {
     const uint64_t want_digest = static_replay_digest(strategy);
     for (size_t threads : {size_t{1}, size_t{4}}) {
@@ -328,8 +329,8 @@ int main(int argc, char** argv) {
       // to the sequential scatter by the determinism argument in
       // live_engine.h, and the convergence digest below proves it per run.
       std::unique_ptr<util::ThreadPool> eval_pool;
-      if (live_eval_threads > 1) {
-        eval_pool = std::make_unique<util::ThreadPool>(live_eval_threads);
+      if (eval_threads > 1) {
+        eval_pool = std::make_unique<util::ThreadPool>(eval_threads);
       }
       search::LiveSearchEngine engine(fixture.corpus(), *live,
                                       search::MakeBm25Scorer(), strategy,
@@ -338,7 +339,7 @@ int main(int argc, char** argv) {
       LiveCell cell;
       cell.strategy = strategy;
       cell.threads = threads;
-      cell.eval_threads = live_eval_threads;
+      cell.eval_threads = eval_threads;
       cell.upfront_docs = live->Acquire()->num_documents();
       cell.streamed_docs = corpus_docs - cell.upfront_docs;
 

@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "search/sharded_engine.h"
-
+#include "search/live_engine.h"
 #include "util/check.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
@@ -51,10 +50,29 @@ std::optional<index::live::DurabilityPolicy> EnvDurability(const char* name) {
   return std::nullopt;
 }
 
+/// Version of everything that turns a corpus into a cached model besides
+/// the corpus itself: the Gibbs trainer, its seeding, and the LdaModel
+/// serialization format. Bump it with any change to those, so a cache
+/// written by the old code misses instead of silently loading.
+constexpr uint64_t kModelCacheVersion = 2;
+
 // FNV-1a over a byte string, for cache keys.
-uint64_t HashBytes(const std::string& s) {
-  uint64_t h = util::kFnv1aOffsetBasis;
+uint64_t HashBytes(uint64_t h, const std::string& s) {
   for (unsigned char c : s) h = util::Fnv1aStep(h, c);
+  return h;
+}
+
+/// FNV-1a over the corpus's token stream, each document prefixed by its
+/// length so boundaries count, plus the vocabulary size. Any change to
+/// the generator, its parameters or the analyzer that changes what the
+/// trainer sees changes this hash.
+uint64_t HashCorpus(const corpus::Corpus& corpus) {
+  uint64_t h = util::Fnv1aStep(util::kFnv1aOffsetBasis,
+                               corpus.vocabulary_size());
+  for (const corpus::Document& doc : corpus.documents()) {
+    h = util::Fnv1aStep(h, doc.tokens.size());
+    for (text::TermId t : doc.tokens) h = util::Fnv1aStep(h, t);
+  }
   return h;
 }
 
@@ -73,7 +91,6 @@ FixtureConfig FixtureConfig::FromEnv() {
   config.shard_threads = EnvSize("TOPPRIV_SHARD_THREADS", 1);
   config.eval_strategy = search::EvalStrategyFromEnv();
   config.live_ingest_upfront = EnvFraction("TOPPRIV_LIVE_INGEST", 0.5);
-  config.live_eval_threads = EnvSize("TOPPRIV_LIVE_EVAL_THREADS", 1);
   config.durability = EnvDurability("TOPPRIV_DURABILITY");
   return config;
 }
@@ -82,6 +99,28 @@ const std::vector<size_t>& PaperModelSizes() {
   static const std::vector<size_t>* kSizes =
       new std::vector<size_t>{50, 100, 150, 200, 250, 300};
   return *kSizes;
+}
+
+std::unique_ptr<index::live::LiveIndex> BuildSegmentedIndex(
+    const corpus::Corpus& corpus, size_t num_segments) {
+  TOPPRIV_CHECK_GE(num_segments, 1u);
+  const size_t n = corpus.num_documents();
+  index::live::LiveIndexOptions options;
+  options.max_writer_docs =
+      std::max<size_t>(1, (n + num_segments - 1) / num_segments);
+  options.merge_factor = num_segments + 1;
+  auto live = std::make_unique<index::live::LiveIndex>(options);
+  live->EnsureTermSpace(corpus.vocabulary_size());
+  for (size_t s = 0; s < num_segments; ++s) {
+    // One batch per range, published (sealed) on its own: each non-empty
+    // range becomes exactly one segment.
+    const size_t begin = n * s / num_segments;
+    const size_t end = n * (s + 1) / num_segments;
+    index::live::StreamCorpus(corpus, begin, end,
+                              std::max<size_t>(1, end - begin), live.get());
+  }
+  live->Refresh();
+  return live;
 }
 
 ExperimentFixture::ExperimentFixture(FixtureConfig config)
@@ -129,26 +168,6 @@ const index::InvertedIndex& ExperimentFixture::index() {
   return *index_;
 }
 
-const index::ShardedIndex& ExperimentFixture::sharded_index(
-    size_t num_shards) {
-  auto it = sharded_.find(num_shards);
-  if (it != sharded_.end()) return *it->second;
-  EnsureCorpus();
-  // Shard construction fans out over a transient pool (shards are
-  // independent doc ranges; the pooled build is bit-identical to the
-  // serial one — sharding_test asserts it).
-  std::unique_ptr<util::ThreadPool> pool;
-  const size_t hw = util::ThreadPool::HardwareConcurrency();
-  if (num_shards > 1 && hw > 1) {
-    pool = std::make_unique<util::ThreadPool>(std::min(num_shards, hw));
-  }
-  auto owned = std::make_unique<index::ShardedIndex>(
-      index::ShardedIndex::Build(*corpus_, num_shards, pool.get()));
-  const index::ShardedIndex& ref = *owned;
-  sharded_.emplace(num_shards, std::move(owned));
-  return ref;
-}
-
 std::unique_ptr<index::live::LiveIndex> ExperimentFixture::MakeLiveIndex(
     double upfront_fraction, index::live::LiveIndexOptions options) {
   EnsureCorpus();
@@ -189,9 +208,23 @@ std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
     return std::make_unique<search::SearchEngine>(corpus(), index(),
                                                   std::move(scorer), eval);
   }
-  return std::make_unique<search::ShardedSearchEngine>(
-      corpus(), sharded_index(num_shards), std::move(scorer), shard_threads,
-      eval);
+  std::unique_ptr<index::live::LiveIndex>& segmented = segmented_[num_shards];
+  if (segmented == nullptr) {
+    segmented = BuildSegmentedIndex(corpus(), num_shards);
+  }
+  if (shard_threads == 0) {
+    shard_threads = util::ThreadPool::HardwareConcurrency();
+  }
+  util::ThreadPool* pool = nullptr;
+  if (shard_threads > 1) {
+    std::unique_ptr<util::ThreadPool>& owned = fanout_pools_[shard_threads];
+    if (owned == nullptr) {
+      owned = std::make_unique<util::ThreadPool>(shard_threads);
+    }
+    pool = owned.get();
+  }
+  return std::make_unique<search::LiveSearchEngine>(
+      corpus(), *segmented, std::move(scorer), eval, pool);
 }
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
@@ -201,15 +234,18 @@ std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
 }
 
 std::string ExperimentFixture::CacheKey(size_t num_topics) const {
-  const corpus::GeneratorParams& p = config_.corpus_params;
-  std::string descriptor = util::StrFormat(
-      "docs=%zu len=%.1f tail=%zu alpha=%.4f seed=%llu iters=%zu topics=%zu",
-      p.num_docs, p.mean_doc_length, p.tail_vocab_size, p.doc_topic_alpha,
-      static_cast<unsigned long long>(p.seed), config_.lda_iterations,
-      num_topics);
+  TOPPRIV_CHECK(corpus_ != nullptr);
+  // Keyed on what the trainer consumes (the token stream) and the code
+  // that consumes it (the version) rather than on generator parameters,
+  // so no parameter or generator change can reload a model trained on a
+  // different corpus: load time only checks the vocabulary size.
+  const std::string descriptor = util::StrFormat(
+      "v=%llu iters=%zu topics=%zu",
+      static_cast<unsigned long long>(kModelCacheVersion),
+      config_.lda_iterations, num_topics);
+  const uint64_t key = HashBytes(HashCorpus(*corpus_), descriptor);
   return util::StrFormat("%s/lda%03zu_%016llx.bin", config_.cache_dir.c_str(),
-                         num_topics,
-                         static_cast<unsigned long long>(HashBytes(descriptor)));
+                         num_topics, static_cast<unsigned long long>(key));
 }
 
 const topicmodel::LdaModel& ExperimentFixture::model(size_t num_topics) {

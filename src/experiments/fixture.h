@@ -10,15 +10,15 @@
 //   TOPPRIV_QUERIES     workload size             (default 150, as the paper)
 //   TOPPRIV_LDA_ITERS   Gibbs sweeps              (default 100)
 //   TOPPRIV_CACHE_DIR   LDA model cache directory (default .toppriv_cache)
-//   TOPPRIV_SHARDS      index shards for MakeEngine (default 1 = monolithic)
-//   TOPPRIV_SHARD_THREADS  per-query shard fan-out threads (default 1 =
-//                          sequential scatter)
+//   TOPPRIV_SHARDS      index shards for MakeEngine (default 1 =
+//                          monolithic SearchEngine; K > 1 = the corpus as K
+//                          sealed segments served by LiveSearchEngine)
+//   TOPPRIV_SHARD_THREADS  per-query segment fan-out threads, for sharded
+//                          MakeEngine engines and the live serving phase
+//                          (default 1 = sequential scatter)
 //   TOPPRIV_LIVE_INGEST fraction of the corpus ingested up-front into a
 //                          MakeLiveIndex live index (default 0.5); the
 //                          rest streams in during the serving run
-//   TOPPRIV_LIVE_EVAL_THREADS  per-query segment fan-out threads for the
-//                          live serving phase (default 1 = sequential;
-//                          0 = hardware concurrency)
 //   TOPPRIV_DURABILITY  WAL mode for MakeLiveIndex indexes: off (default,
 //                          in-memory), batch, refresh or manual. When on,
 //                          the index is opened with LiveIndex::Recover()
@@ -38,11 +38,11 @@
 #include "corpus/workload.h"
 #include "index/inverted_index.h"
 #include "index/live/live_index.h"
-#include "index/sharded_index.h"
 #include "search/engine.h"
 #include "search/scorer.h"
 #include "topicmodel/gibbs_trainer.h"
 #include "topicmodel/lda_model.h"
+#include "util/thread_pool.h"
 
 namespace toppriv::experiments {
 
@@ -52,10 +52,13 @@ struct FixtureConfig {
   corpus::WorkloadParams workload_params;
   size_t lda_iterations = 100;
   std::string cache_dir = ".toppriv_cache";
-  /// Index shards MakeEngine uses; 1 builds the monolithic SearchEngine.
+  /// Index shards MakeEngine uses; 1 builds the monolithic SearchEngine,
+  /// K > 1 a LiveSearchEngine over the corpus as K sealed segments.
   size_t num_shards = 1;
-  /// Shard fan-out threads for MakeEngine's sharded engine (1 = sequential
-  /// scatter on the caller's thread; 0 = hardware concurrency).
+  /// Per-query segment fan-out threads: MakeEngine's sharded engines and
+  /// the serving bench's live phase size their eval pool from this (1 =
+  /// sequential scatter on the caller's thread; 0 = hardware concurrency).
+  /// The pool must be distinct from any pool whose workers issue queries.
   size_t shard_threads = 1;
   /// Query evaluation strategy MakeEngine wires into the engine
   /// (TOPPRIV_EVAL_STRATEGY: "taat" or "maxscore"). Results are
@@ -65,12 +68,6 @@ struct FixtureConfig {
   /// (TOPPRIV_LIVE_INGEST, clamped to [0, 1]); the remainder is streamed
   /// during the serving run's mixed read/write phase.
   double live_ingest_upfront = 0.5;
-  /// Per-query segment fan-out threads for live-serving benches
-  /// (TOPPRIV_LIVE_EVAL_THREADS; 1 = sequential scatter on the caller's
-  /// thread, 0 = hardware concurrency). Consumers size the dedicated
-  /// LiveSearchEngine eval pool from this — the pool must be distinct
-  /// from any pool whose workers issue the queries.
-  size_t live_eval_threads = 1;
   /// WAL sync discipline for MakeLiveIndex indexes (TOPPRIV_DURABILITY:
   /// off | batch | refresh | manual). Unset = in-memory, as before; set,
   /// MakeLiveIndex opens the index durably under <cache_dir>/live_wal so
@@ -83,6 +80,16 @@ struct FixtureConfig {
 
 /// The six model sizes the paper evaluates (LDA050 .. LDA300).
 const std::vector<size_t>& PaperModelSizes();
+
+/// An in-memory LiveIndex holding `corpus` as min(num_segments, N) sealed
+/// segments over the contiguous near-equal doc ranges [N*s/K, N*(s+1)/K)
+/// — the static K-shard partition. Built with max_writer_docs = ceil(N/K)
+/// and merge_factor = K + 1, so no merge ever collapses the partition.
+/// Dense ids equal corpus doc ids, and the term space is synced to the
+/// corpus vocabulary, so a LiveSearchEngine over it is bit-identical to
+/// the monolithic SearchEngine (tests/sharding_test.cc).
+std::unique_ptr<index::live::LiveIndex> BuildSegmentedIndex(
+    const corpus::Corpus& corpus, size_t num_segments);
 
 /// Lazily-constructed experiment state. Everything is deterministic given
 /// the config; LDA models are additionally cached on disk because training
@@ -101,10 +108,6 @@ class ExperimentFixture {
   const std::vector<corpus::BenchmarkQuery>& workload();
   /// Inverted index over the corpus.
   const index::InvertedIndex& index();
-  /// Document-partitioned index with `num_shards` shards (built on first
-  /// use, cached per shard count). The parity suite guarantees it answers
-  /// queries identically to index().
-  const index::ShardedIndex& sharded_index(size_t num_shards);
   /// Trained LDA model with `num_topics` topics (trains or loads cache).
   const topicmodel::LdaModel& model(size_t num_topics);
 
@@ -121,8 +124,13 @@ class ExperimentFixture {
       index::live::LiveIndexOptions options = index::live::LiveIndexOptions());
 
   /// Builds a query engine over the fixture corpus: the monolithic
-  /// SearchEngine when `num_shards` <= 1, a ShardedSearchEngine otherwise
-  /// (with `shard_threads` fan-out workers; 1 = sequential scatter).
+  /// SearchEngine when `num_shards` <= 1, otherwise a LiveSearchEngine
+  /// over a fixture-owned BuildSegmentedIndex(corpus, num_shards) (cached
+  /// per shard count, never written, in memory even under
+  /// TOPPRIV_DURABILITY) fanning out on a fixture-owned pool of
+  /// `shard_threads` workers (1 = sequential scatter; 0 = hardware
+  /// concurrency). The engine borrows fixture state, so the fixture must
+  /// outlive it.
   /// `strategy` overrides the config's evaluation strategy when set. Every
   /// figure bench that takes its engine from here runs sharded by setting
   /// TOPPRIV_SHARDS (and MaxScore by setting TOPPRIV_EVAL_STRATEGY) —
@@ -148,7 +156,10 @@ class ExperimentFixture {
   corpus::GroundTruthModel ground_truth_;
   std::unique_ptr<std::vector<corpus::BenchmarkQuery>> workload_;
   std::unique_ptr<index::InvertedIndex> index_;
-  std::map<size_t, std::unique_ptr<index::ShardedIndex>> sharded_;
+  /// MakeEngine's K-segment indexes, by K.
+  std::map<size_t, std::unique_ptr<index::live::LiveIndex>> segmented_;
+  /// MakeEngine's segment fan-out pools, by thread count.
+  std::map<size_t, std::unique_ptr<util::ThreadPool>> fanout_pools_;
   std::map<size_t, std::unique_ptr<topicmodel::LdaModel>> models_;
 };
 

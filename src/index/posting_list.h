@@ -12,7 +12,7 @@
 // the first delta of block b+1 is relative to the last doc of block b, and
 // the very first delta of the list is the absolute doc id — so ByteSize()
 // is byte-for-byte the classic interleaved delta+varint size the paper's
-// Fig. 6 / §II arithmetic (and ShardedIndex::ComputeStats's cross-shard
+// Fig. 6 / §II arithmetic (and IndexSnapshot::ComputeStats's cross-segment
 // re-pricing) assume. A per-block directory carries each block's first and
 // last doc id (forward skipping without decoding) and its maximum tf
 // (block-level score upper bounds for the MaxScore evaluator).

@@ -43,7 +43,7 @@ void EvalScratch::Prepare(size_t num_documents) {
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms) {
   // Sort then run-length collapse. Queries are a handful of terms, so this
   // beats any hash map — and unlike a hash map its order is canonical, not
-  // an artifact of bucket history, which the sharded engine's bit-parity
+  // an artifact of bucket history, which the segmented engine's bit-parity
   // contract relies on.
   std::vector<text::TermId> sorted = terms;
   std::sort(sorted.begin(), sorted.end());
@@ -565,6 +565,21 @@ util::StatusOr<std::vector<ScoredDoc>> QueryEngine::EvaluateWithOptions(
   return results;
 }
 
+namespace {
+
+/// The MaxScore impact-bound table a SearchEngine is built with (empty
+/// under TAAT, which never reads it).
+std::vector<double> BoundsFor(EvalStrategy strategy,
+                              const index::InvertedIndex& index,
+                              const CollectionStats& stats,
+                              const Scorer* scorer) {
+  TOPPRIV_CHECK(scorer != nullptr);
+  if (strategy != EvalStrategy::kMaxScore) return {};
+  return ComputeTermImpactBounds(index, stats, *scorer);
+}
+
+}  // namespace
+
 SearchEngine::SearchEngine(const corpus::Corpus& corpus,
                            const index::InvertedIndex& index,
                            std::unique_ptr<Scorer> scorer,
@@ -572,19 +587,9 @@ SearchEngine::SearchEngine(const corpus::Corpus& corpus,
     : corpus_(corpus),
       index_(index),
       scorer_(std::move(scorer)),
-      stats_(CollectionStats::Of(index)) {
-  TOPPRIV_CHECK(scorer_ != nullptr);
-  set_eval_strategy(strategy);
-}
-
-void SearchEngine::set_eval_strategy(EvalStrategy strategy) {
-  util::MutexLock lock(&strategy_mu_);
-  strategy_ = strategy;
-  if (strategy == EvalStrategy::kMaxScore && term_bounds_ == nullptr) {
-    term_bounds_ = std::make_shared<const std::vector<double>>(
-        ComputeTermImpactBounds(index_, stats_, *scorer_));
-  }
-}
+      stats_(CollectionStats::Of(index)),
+      strategy_(strategy),
+      term_bounds_(BoundsFor(strategy, index, stats_, scorer_.get())) {}
 
 std::vector<ScoredDoc> SearchEngine::Search(
     const std::vector<text::TermId>& terms, size_t k, uint64_t cycle_id) {
@@ -594,31 +599,7 @@ std::vector<ScoredDoc> SearchEngine::Search(
 
 std::vector<ScoredDoc> SearchEngine::Evaluate(
     const std::vector<text::TermId>& terms, size_t k) const {
-  static thread_local EvalScratch scratch;
-  return Evaluate(terms, k, &scratch);
-}
-
-std::vector<ScoredDoc> SearchEngine::Evaluate(
-    const std::vector<text::TermId>& terms, size_t k,
-    EvalScratch* scratch) const {
-  if (terms.empty() || k == 0) return {};
-  // Snapshot the strategy knob and its (immutable) bound table under the
-  // lock; evaluation itself runs lock-free on the snapshot, so a
-  // concurrent set_eval_strategy can never expose a half-written pair.
-  EvalStrategy strategy;
-  std::shared_ptr<const std::vector<double>> bounds;
-  {
-    util::MutexLock lock(&strategy_mu_);
-    strategy = strategy_;
-    bounds = term_bounds_;
-  }
-  std::vector<QueryTerm> query = CollapseQuery(terms);
-  std::vector<uint32_t> dfs(query.size());
-  for (size_t qi = 0; qi < query.size(); ++qi) {
-    dfs[qi] = index_.DocFreq(query[qi].term);
-  }
-  return EvaluateTopK(strategy, index_, stats_, *scorer_, query, dfs, k,
-                      scratch, bounds == nullptr ? nullptr : bounds.get());
+  return EvaluateImpl(terms, k, /*deadline=*/nullptr);
 }
 
 util::StatusOr<std::vector<ScoredDoc>> SearchEngine::EvaluateWithOptions(
@@ -629,29 +610,29 @@ util::StatusOr<std::vector<ScoredDoc>> SearchEngine::EvaluateWithOptions(
     TOPPRIV_COUNTER_INC("search.deadline_exceeded");
     return util::Status::DeadlineExceeded("query deadline expired");
   }
-  if (terms.empty() || k == 0) return std::vector<ScoredDoc>{};
-  EvalStrategy strategy;
-  std::shared_ptr<const std::vector<double>> bounds;
-  {
-    util::MutexLock lock(&strategy_mu_);
-    strategy = strategy_;
-    bounds = term_bounds_;
+  std::vector<ScoredDoc> results = EvaluateImpl(terms, k, deadline);
+  if (deadline != nullptr && deadline->Expired()) {
+    TOPPRIV_COUNTER_INC("search.deadline_exceeded");
+    return util::Status::DeadlineExceeded("query deadline expired");
   }
+  return results;
+}
+
+std::vector<ScoredDoc> SearchEngine::EvaluateImpl(
+    const std::vector<text::TermId>& terms, size_t k,
+    const util::Deadline* deadline) const {
+  if (terms.empty() || k == 0) return {};
   std::vector<QueryTerm> query = CollapseQuery(terms);
   std::vector<uint32_t> dfs(query.size());
   for (size_t qi = 0; qi < query.size(); ++qi) {
     dfs[qi] = index_.DocFreq(query[qi].term);
   }
   static thread_local EvalScratch scratch;
-  std::vector<ScoredDoc> results =
-      EvaluateTopK(strategy, index_, stats_, *scorer_, query, dfs, k, &scratch,
-                   bounds == nullptr ? nullptr : bounds.get(),
-                   /*exclude=*/nullptr, deadline);
-  if (deadline != nullptr && deadline->Expired()) {
-    TOPPRIV_COUNTER_INC("search.deadline_exceeded");
-    return util::Status::DeadlineExceeded("query deadline expired");
-  }
-  return results;
+  return EvaluateTopK(strategy_, index_, stats_, *scorer_, query, dfs, k,
+                      &scratch,
+                      strategy_ == EvalStrategy::kMaxScore ? &term_bounds_
+                                                           : nullptr,
+                      /*exclude=*/nullptr, deadline);
 }
 
 }  // namespace toppriv::search

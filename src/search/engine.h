@@ -14,9 +14,7 @@
 #include "search/topk.h"
 #include "text/vocabulary.h"
 #include "util/deadline.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/thread_annotations.h"
 
 namespace toppriv::search {
 
@@ -70,8 +68,8 @@ struct TermCursor {
 /// slot per document, plus the touched-document list that makes clearing
 /// O(touched) instead of O(num_documents). Reusing one scratch across
 /// queries removes the per-query hash-map allocation that used to dominate
-/// Evaluate. Not thread-safe: one scratch per thread (the scratch-less
-/// Evaluate overloads keep a thread-local one).
+/// Evaluate. Not thread-safe: one scratch per thread (the engines keep a
+/// thread-local one).
 class EvalScratch {
  public:
   EvalScratch() = default;
@@ -119,7 +117,7 @@ class EvalScratch {
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending
 /// term order. The sorted order fixes the floating-point accumulation order
-/// of every evaluation path — monolithic or per-shard — so results are
+/// of every evaluation path — monolithic or per-segment — so results are
 /// bit-identical across engines (and independent of any hash-map iteration
 /// order).
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
@@ -127,12 +125,13 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 /// The shared term-at-a-time evaluation core: accumulates `query` over
 /// `index`'s posting lists into `scratch`, scoring with the collection-wide
 /// `stats` and the per-term document frequencies `dfs` (parallel to
-/// `query`; the monolithic engine passes the index's own df, a sharded
-/// engine passes the GLOBAL df so every shard scores identically), then
-/// extracts the top `k`. Result doc ids are local to `index`; sharded
-/// callers offset them by their shard's range base before merging.
-/// Exposing this lets SearchEngine and ShardedSearchEngine run literally
-/// the same arithmetic, which is what the bit-parity suite locks down.
+/// `query`; the monolithic engine passes the index's own df, the segmented
+/// LiveSearchEngine passes the snapshot's GLOBAL df so every segment scores
+/// identically), then extracts the top `k`. Result doc ids are local to
+/// `index`; segmented callers lift them into the snapshot's dense id space
+/// before merging. Exposing this lets SearchEngine and LiveSearchEngine run
+/// literally the same arithmetic, which is what the bit-parity suites lock
+/// down.
 ///
 /// `exclude`, when given, is a per-document tombstone mask (parallel to
 /// `index`'s local doc-id space; nonzero = excluded): masked documents
@@ -168,8 +167,8 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
 /// candidates earlier. Engines precompute this once per (index, scorer)
 /// when the MaxScore strategy is selected — the classic "max impact"
 /// metadata of impact-ordered indexes. `global_dfs`, when given, replaces
-/// each list's local document frequency (sharded engines score with global
-/// df, so their bounds must too).
+/// each list's local document frequency (segments score with global df, so
+/// their bounds must too).
 std::vector<double> ComputeTermImpactBounds(
     const index::InvertedIndex& index, const CollectionStats& stats,
     const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
@@ -265,16 +264,17 @@ class QueryLog {
 /// Per-call knobs for the failure-aware evaluation entry point.
 struct QueryOptions {
   /// Cooperative deadline/cancellation, polled at block-decode granularity
-  /// inside the eval cores and across shard/segment fan-out. Null = none.
+  /// inside the eval cores and across the segment fan-out. Null = none.
   /// The Deadline's cancel flag is shared across the whole fan-out, so one
-  /// expiry observation stops every sibling shard.
+  /// expiry observation stops every sibling segment.
   const util::Deadline* deadline = nullptr;
 };
 
 /// Abstract ranked-retrieval engine: what the privacy layer (TrustedClient,
 /// SessionProtector) and the serving driver program against. Implemented by
-/// the monolithic SearchEngine and by ShardedSearchEngine; the sharding
-/// test suite proves the two are interchangeable bit for bit, so every
+/// the monolithic SearchEngine and by LiveSearchEngine, which serves both a
+/// live index and a static K-segment partition; the sharding and live
+/// parity suites prove the two are interchangeable bit for bit, so every
 /// layer above can swap one for the other freely.
 class QueryEngine {
  public:
@@ -297,8 +297,8 @@ class QueryEngine {
   /// kDeadlineExceeded and its partial work is discarded, never surfaced.
   /// The base implementation brackets Evaluate with expiry checks (coarse:
   /// a stuck engine still runs to completion); the real engines override
-  /// it to poll inside the eval cores and across the shard fan-out, so a
-  /// wedged shard costs at most one block decode past the deadline.
+  /// it to poll inside the eval cores and across the segment fan-out, so a
+  /// wedged segment costs at most one block decode past the deadline.
   virtual util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
       const QueryOptions& options) const;
@@ -317,14 +317,17 @@ class QueryEngine {
   virtual EvalStrategy eval_strategy() const = 0;
 };
 
-/// Similarity search engine over a monolithic inverted index.
+/// Similarity search engine over a monolithic inverted index: the
+/// one-segment case, evaluated straight over the borrowed index (no copy).
 ///
 /// The engine is deliberately unmodified by the privacy layer: TopPriv's
 /// design constraint is that it works against existing engines (unlike the
 /// PDX baseline, which requires a homomorphic scoring protocol).
 class SearchEngine : public QueryEngine {
  public:
-  /// The engine borrows the corpus and index; both must outlive it.
+  /// The engine borrows the corpus and index; both must outlive it. The
+  /// strategy is fixed for the engine's lifetime; MaxScore builds its
+  /// impact-bound table here, once.
   SearchEngine(const corpus::Corpus& corpus, const index::InvertedIndex& index,
                std::unique_ptr<Scorer> scorer,
                EvalStrategy strategy = EvalStrategy::kTAAT);
@@ -336,18 +339,12 @@ class SearchEngine : public QueryEngine {
                                 size_t k, uint64_t cycle_id = 0) override;
 
   std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
-                                  size_t k) const override
-      EXCLUDES(strategy_mu_);
-
-  /// Same, accumulating into the caller's scratch (identical results).
-  std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
-                                  size_t k, EvalScratch* scratch) const
-      EXCLUDES(strategy_mu_);
+                                  size_t k) const override;
 
   /// Deadline threaded into the eval core (block-decode granularity).
   util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
-      const QueryOptions& options) const override EXCLUDES(strategy_mu_);
+      const QueryOptions& options) const override;
 
   const QueryLog& query_log() const override { return log_; }
   QueryLog& mutable_query_log() override { return log_; }
@@ -355,36 +352,23 @@ class SearchEngine : public QueryEngine {
   const corpus::Corpus& corpus() const override { return corpus_; }
   const index::InvertedIndex& index() const { return index_; }
   const Scorer& scorer() const override { return *scorer_; }
-
-  EvalStrategy eval_strategy() const override EXCLUDES(strategy_mu_) {
-    util::MutexLock lock(&strategy_mu_);
-    return strategy_;
-  }
-  /// Strategies are interchangeable between queries (results are
-  /// bit-identical by the parity contract). Selecting MaxScore (here or
-  /// at construction) builds the per-term impact-bound table on first
-  /// selection. Thread-safe: the strategy and its bound table live behind
-  /// strategy_mu_, exactly like ShardedSearchEngine's (this engine kept
-  /// the pre-PR-7 caller-beware contract until now — the last unguarded
-  /// strategy flip in the tree). In-flight Evaluate calls finish under the
-  /// strategy they started with.
-  void set_eval_strategy(EvalStrategy strategy) EXCLUDES(strategy_mu_);
+  EvalStrategy eval_strategy() const override { return strategy_; }
 
  private:
+  /// Shared body of Evaluate and EvaluateWithOptions; `deadline` may be
+  /// null. An expired deadline yields an empty list (callers re-check).
+  std::vector<ScoredDoc> EvaluateImpl(const std::vector<text::TermId>& terms,
+                                      size_t k,
+                                      const util::Deadline* deadline) const;
+
   const corpus::Corpus& corpus_;
   const index::InvertedIndex& index_;
-  std::unique_ptr<Scorer> scorer_;
-  CollectionStats stats_;
-  /// Guards the evaluation-strategy switch (the one mutable knob shared
-  /// with concurrent Evaluate callers). Held only for enum/pointer reads
-  /// and the one-time bound-table build — never across evaluation.
-  mutable util::Mutex strategy_mu_;
-  EvalStrategy strategy_ GUARDED_BY(strategy_mu_) = EvalStrategy::kTAAT;
-  /// ComputeTermImpactBounds table; non-null iff MaxScore was ever
-  /// selected. The pointee is immutable — Evaluate snapshots the
-  /// shared_ptr under strategy_mu_ and reads it lock-free.
-  std::shared_ptr<const std::vector<double>> term_bounds_
-      GUARDED_BY(strategy_mu_);
+  const std::unique_ptr<Scorer> scorer_;
+  const CollectionStats stats_;
+  const EvalStrategy strategy_;
+  /// ComputeTermImpactBounds table: built in the constructor under
+  /// MaxScore, empty under TAAT. Immutable, so readers need no lock.
+  const std::vector<double> term_bounds_;
   QueryLog log_;
 };
 

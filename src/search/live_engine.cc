@@ -111,12 +111,6 @@ std::vector<ScoredDoc> LiveSearchEngine::EvaluateOn(
     const util::Deadline* deadline) const {
   if (terms.empty() || k == 0) return {};
 
-  EvalStrategy strategy;
-  {
-    util::MutexLock lock(&strategy_mu_);
-    strategy = strategy_;
-  }
-
   // One canonical query plan for every segment: canonical term order,
   // GLOBAL live document frequencies, global live collection stats.
   const std::vector<QueryTerm> query = CollapseQuery(terms);
@@ -130,7 +124,7 @@ std::vector<ScoredDoc> LiveSearchEngine::EvaluateOn(
   stats.total_tokens = snapshot.total_tokens();
 
   std::vector<std::shared_ptr<const std::vector<double>>> bounds;
-  if (strategy == EvalStrategy::kMaxScore) {
+  if (strategy_ == EvalStrategy::kMaxScore) {
     bounds = SegmentBounds(snapshot, stats);
   }
 
@@ -149,7 +143,7 @@ std::vector<ScoredDoc> LiveSearchEngine::EvaluateOn(
     static thread_local EvalScratch scratch;
     const index::live::SnapshotSegment& ss = snapshot.segment(s);
     per_segment[s] = EvaluateTopK(
-        strategy, ss.segment->index(), stats, *scorer_, query, dfs, k,
+        strategy_, ss.segment->index(), stats, *scorer_, query, dfs, k,
         &scratch, bounds.empty() ? nullptr : bounds[s].get(),
         ss.deleted.get(), deadline);
   };

@@ -1,6 +1,11 @@
 // Ranked retrieval over a LiveIndex: acquire a snapshot, evaluate every
 // segment with the shared cores, merge into the global top-k.
 //
+// This is also the repo's sharded engine: a static K-shard partition is a
+// LiveIndex holding the corpus as K sealed segments with no writes (see
+// experiments::BuildSegmentedIndex), so one scatter/gather, one deadline
+// path and one impact-bound cache serve both (tests/sharding_test.cc).
+//
 // Parity contract (tests/live_index_test.cc): for any ingest schedule —
 // batch splits, merges, deletes-then-reinserts — results are BIT-identical
 // to the monolithic SearchEngine over a static InvertedIndex::Build of the
@@ -71,7 +76,8 @@ class LiveSearchEngine : public QueryEngine {
  public:
   /// Borrows the corpus (for corpus() consumers) and the live index; both
   /// must outlive the engine. Each Evaluate acquires the index's current
-  /// snapshot, so concurrent ingest/merge/delete never races a query.
+  /// snapshot, so concurrent ingest/merge/delete never races a query. The
+  /// strategy is fixed for the engine's lifetime.
   /// `eval_pool`, when non-null, is a borrowed pool the per-segment
   /// evaluations fan out on (see file comment for the determinism and
   /// no-self-pool rules); null evaluates segments sequentially.
@@ -88,7 +94,7 @@ class LiveSearchEngine : public QueryEngine {
 
   std::vector<ScoredDoc> Evaluate(const std::vector<text::TermId>& terms,
                                   size_t k) const override
-      EXCLUDES(strategy_mu_, bounds_mu_);
+      EXCLUDES(bounds_mu_);
 
   /// Deadline-aware evaluation against the current snapshot: the deadline
   /// (shared sticky cancel flag) reaches every segment's eval core, so one
@@ -97,8 +103,7 @@ class LiveSearchEngine : public QueryEngine {
   /// this path — reads come from the last published snapshot by design.
   util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,
-      const QueryOptions& options) const override
-      EXCLUDES(strategy_mu_, bounds_mu_);
+      const QueryOptions& options) const override EXCLUDES(bounds_mu_);
 
   /// Evaluation pinned to a caller-held snapshot (what Evaluate does with
   /// the current one). Exposed so tests can prove snapshot isolation:
@@ -107,7 +112,7 @@ class LiveSearchEngine : public QueryEngine {
                                     const std::vector<text::TermId>& terms,
                                     size_t k,
                                     const util::Deadline* deadline = nullptr)
-      const EXCLUDES(strategy_mu_, bounds_mu_);
+      const EXCLUDES(bounds_mu_);
 
   const QueryLog& query_log() const override { return log_; }
   QueryLog& mutable_query_log() override { return log_; }
@@ -121,18 +126,9 @@ class LiveSearchEngine : public QueryEngine {
     return eval_pool_ != nullptr ? eval_pool_->num_threads() : 1;
   }
 
-  EvalStrategy eval_strategy() const override EXCLUDES(strategy_mu_) {
-    util::MutexLock lock(&strategy_mu_);
-    return strategy_;
-  }
-  /// Thread-safe (same discipline as the other engines): the strategy
-  /// lives behind strategy_mu_; in-flight Evaluate calls finish under the
-  /// strategy they started with. No eager bound build here — live bounds
-  /// are per-snapshot and build lazily on the first MaxScore evaluation.
-  void set_eval_strategy(EvalStrategy strategy) EXCLUDES(strategy_mu_) {
-    util::MutexLock lock(&strategy_mu_);
-    strategy_ = strategy;
-  }
+  /// Live bounds are per-snapshot, so MaxScore builds them lazily on the
+  /// first evaluation of each df-version (see file comment).
+  EvalStrategy eval_strategy() const override { return strategy_; }
 
  private:
   /// One immutable generation of cached bound tables: the df-version the
@@ -159,8 +155,7 @@ class LiveSearchEngine : public QueryEngine {
   /// Borrowed fan-out pool; null = sequential. Never Submit/ParallelFor
   /// targets of the caller's own blocking pool (constructor contract).
   util::ThreadPool* eval_pool_;
-  mutable util::Mutex strategy_mu_;
-  EvalStrategy strategy_ GUARDED_BY(strategy_mu_);
+  const EvalStrategy strategy_;
   /// Guards only the cache pointer swap; table computation runs outside.
   mutable util::Mutex bounds_mu_;
   mutable std::shared_ptr<const BoundsCache> bounds_cache_

@@ -33,25 +33,24 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.h"
+#include "experiments/fixture.h"
 #include "index/inverted_index.h"
 #include "index/live/live_index.h"
-#include "index/sharded_index.h"
 #include "search/engine.h"
 #include "search/fault_injecting_engine.h"
 #include "search/live_engine.h"
 #include "search/scorer.h"
-#include "search/sharded_engine.h"
 #include "util/deadline.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace toppriv {
 namespace {
 
 using index::InvertedIndex;
-using index::ShardedIndex;
 using index::live::DurabilityPolicy;
 using index::live::LiveIndex;
 using index::live::LiveIndexOptions;
@@ -202,7 +201,9 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
-  ShardedIndex sharded = ShardedIndex::Build(corpus, 3);
+  std::unique_ptr<LiveIndex> segmented =
+      experiments::BuildSegmentedIndex(corpus, 3);
+  util::ThreadPool fanout_pool(2);
   LiveIndex live{LiveIndexOptions()};
   live.EnsureTermSpace(corpus.vocabulary().size());
   for (size_t d = 0; d < corpus.num_documents(); ++d) {
@@ -211,8 +212,9 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   live.Refresh();
 
   search::SearchEngine mono(corpus, index, search::MakeBm25Scorer());
-  search::ShardedSearchEngine fanout(corpus, sharded,
-                                     search::MakeBm25Scorer(), 2);
+  // Three sealed segments fanned out on two workers: the sharded shape.
+  search::LiveSearchEngine fanout(corpus, *segmented, search::MakeBm25Scorer(),
+                                  search::EvalStrategy::kTAAT, &fanout_pool);
   search::LiveSearchEngine over_live(corpus, live, search::MakeBm25Scorer(),
                                      search::EvalStrategy::kTAAT);
   ManualClock clock;
@@ -238,10 +240,12 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
 TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
-  ShardedIndex sharded = ShardedIndex::Build(corpus, 3);
-  search::ShardedSearchEngine inner(corpus, sharded, search::MakeBm25Scorer(),
-                                    /*num_threads=*/2,
-                                    search::EvalStrategy::kMaxScore);
+  std::unique_ptr<LiveIndex> segmented =
+      experiments::BuildSegmentedIndex(corpus, 3);
+  util::ThreadPool fanout_pool(2);
+  search::LiveSearchEngine inner(corpus, *segmented, search::MakeBm25Scorer(),
+                                 search::EvalStrategy::kMaxScore,
+                                 &fanout_pool);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);

@@ -1,5 +1,6 @@
 // Tests for the experiment fixture and sweep runners.
 #include <cstdlib>
+#include <filesystem>
 
 #include <gtest/gtest.h>
 
@@ -71,6 +72,35 @@ TEST(FixtureTest, ModelCacheRoundtrip) {
     ExperimentFixture fixture(config);
     EXPECT_EQ(fixture.model(12).Serialize(), serialized_first);
   }
+}
+
+TEST(FixtureTest, ModelCacheMissesWhenTheCorpusChanges) {
+  // seed_mass reshapes the generated corpus without changing its
+  // vocabulary size (the only check at load time), so only a cache key on
+  // the corpus itself tells the two models apart: the second fixture must
+  // train its own model, not load the first one's.
+  FixtureConfig first = TinyConfig();
+  first.cache_dir = ::testing::TempDir() + "/toppriv_fixture_cache_seedmass";
+  FixtureConfig second = first;
+  second.corpus_params.seed_mass = 0.5;
+  FixtureConfig fresh = second;
+  fresh.cache_dir = ::testing::TempDir() + "/toppriv_fixture_cache_fresh";
+  std::filesystem::remove_all(first.cache_dir);
+  std::filesystem::remove_all(fresh.cache_dir);
+
+  std::string first_model;
+  {
+    ExperimentFixture fixture(first);
+    first_model = fixture.model(12).Serialize();
+  }
+  ExperimentFixture shared(second);
+  ExperimentFixture alone(fresh);
+  ASSERT_EQ(shared.corpus().vocabulary_size(),
+            ExperimentFixture(first).corpus().vocabulary_size());
+  // EXPECT_TRUE, not EXPECT_EQ: a mismatch would print two model blobs.
+  const std::string second_model = shared.model(12).Serialize();
+  EXPECT_TRUE(second_model != first_model) << "loaded the stale model";
+  EXPECT_TRUE(second_model == alone.model(12).Serialize());
 }
 
 TEST(RunnerTest, TopPrivCellProducesSaneMetrics) {

@@ -159,7 +159,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, PostingBlockProperty,
 TEST(PostingListTest, ByteSizeMatchesClassicDeltaVarintPricing) {
   // The grouped block layout reorders varints but never adds bytes:
   // ByteSize() must equal the interleaved delta+varint pricing the paper's
-  // §II arithmetic (and ShardedIndex::ComputeStats) assume.
+  // §II arithmetic (and IndexSnapshot::ComputeStats) assume.
   util::Rng rng(99);
   PostingList::Builder builder;
   uint64_t priced = 0;

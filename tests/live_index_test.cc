@@ -974,70 +974,5 @@ TEST(LiveIndexConcurrencyTest, AcquireDuringRefreshMakesProgressAndIsOrdered) {
                           "acquire-hammer");
 }
 
-// Regression for the set_eval_strategy race: the setter used to write the
-// strategy field unguarded while concurrent Evaluate calls read it, an
-// undiagnosed data race (and on the monolithic engine the lazy MaxScore
-// bound build doubled as an unguarded publication). Both engines now keep
-// the strategy behind a mutex and each Evaluate runs under the strategy it
-// snapshotted. Flippers toggle TAAT↔MaxScore as fast as they can while
-// readers evaluate; the TSan job turns any residual race into a report,
-// and since both strategies are bit-identical by the parity contract,
-// every result must match the reference no matter when the flip lands.
-TEST(LiveIndexConcurrencyTest, StrategyFlipsDuringEvaluationAreRaceFree) {
-  const std::vector<Doc> docs = WorldDocs();
-  const size_t vocab = World().corpus.vocabulary_size();
-  corpus::Corpus corpus_ref = CorpusFromDocs(vocab, docs);
-  InvertedIndex static_index = InvertedIndex::Build(corpus_ref);
-  search::SearchEngine mono(corpus_ref, static_index,
-                            search::MakeBm25Scorer(),
-                            search::EvalStrategy::kTAAT);
-
-  LiveIndex live;
-  live.EnsureTermSpace(vocab);
-  live.Ingest(docs);
-  live.Refresh();
-  LiveSearchEngine live_engine(corpus_ref, live, search::MakeBm25Scorer(),
-                               search::EvalStrategy::kTAAT, &EvalPool());
-
-  const std::vector<Doc> queries = WorldQueries(8);
-  std::vector<std::vector<ScoredDoc>> want;
-  for (const Doc& q : queries) want.push_back(mono.Evaluate(q, 10));
-
-  std::atomic<bool> done{false};
-  std::thread flip_mono([&] {
-    bool taat = false;
-    while (!done.load(std::memory_order_relaxed)) {
-      mono.set_eval_strategy(taat ? search::EvalStrategy::kTAAT
-                                  : search::EvalStrategy::kMaxScore);
-      taat = !taat;
-    }
-  });
-  std::thread flip_live([&] {
-    bool taat = false;
-    while (!done.load(std::memory_order_relaxed)) {
-      live_engine.set_eval_strategy(taat ? search::EvalStrategy::kTAAT
-                                         : search::EvalStrategy::kMaxScore);
-      taat = !taat;
-    }
-  });
-
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&, r] {
-      for (size_t iter = 0; iter < 60; ++iter) {
-        const size_t qi = (static_cast<size_t>(r) + iter) % queries.size();
-        ExpectBitIdentical(mono.Evaluate(queries[qi], 10), want[qi],
-                           "mono under strategy flips");
-        ExpectBitIdentical(live_engine.Evaluate(queries[qi], 10), want[qi],
-                           "live under strategy flips");
-      }
-    });
-  }
-  for (std::thread& t : readers) t.join();
-  done.store(true);
-  flip_mono.join();
-  flip_live.join();
-}
-
 }  // namespace
 }  // namespace toppriv

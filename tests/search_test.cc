@@ -234,7 +234,6 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
   for (int s = 0; s < 2; ++s) {
     SearchEngine engine(world.corpus, world.index,
                         s == 0 ? MakeBm25Scorer() : MakeTfIdfScorer());
-    EvalScratch reused_scratch;
     util::Rng rng(911 + s);
     for (int trial = 0; trial < 30; ++trial) {
       // Mix workload queries with random ones (incl. repeated terms).
@@ -250,19 +249,15 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
       }
       std::vector<ScoredDoc> want =
           MapBasedEvaluate(world.index, engine.scorer(), query, 15);
-      std::vector<ScoredDoc> got = engine.Evaluate(query, 15);
-      // Also through a caller-owned scratch reused across all trials: reuse
+      // Evaluate reuses its thread-local scratch across all trials: reuse
       // must not leak state between queries.
-      std::vector<ScoredDoc> got_reused =
-          engine.Evaluate(query, 15, &reused_scratch);
+      std::vector<ScoredDoc> got = engine.Evaluate(query, 15);
       ASSERT_EQ(got.size(), want.size()) << "trial " << trial;
       for (size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].doc, want[i].doc) << "trial " << trial;
         // Bit equality, not EXPECT_NEAR: the rewrite promises the identical
         // accumulation order.
         EXPECT_EQ(got[i].score, want[i].score) << "trial " << trial;
-        EXPECT_EQ(got_reused[i].doc, want[i].doc) << "trial " << trial;
-        EXPECT_EQ(got_reused[i].score, want[i].score) << "trial " << trial;
       }
     }
   }
@@ -327,7 +322,6 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
     SearchEngine maxscore(world.corpus, world.index, ScorerByKind(kind),
                           EvalStrategy::kMaxScore);
     ASSERT_EQ(maxscore.eval_strategy(), EvalStrategy::kMaxScore);
-    EvalScratch reused;
     util::Rng rng(1234 + kind);
     for (int trial = 0; trial < 60; ++trial) {
       std::vector<text::TermId> query;
@@ -348,31 +342,14 @@ TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
                                           << trial << " k=" << k);
         std::vector<ScoredDoc> want = taat.Evaluate(query, k);
         std::vector<ScoredDoc> got = maxscore.Evaluate(query, k);
-        std::vector<ScoredDoc> got_reused =
-            maxscore.Evaluate(query, k, &reused);
         ASSERT_EQ(got.size(), want.size());
         for (size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
           // Bit equality: same canonical accumulation order per document.
           EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
-          EXPECT_EQ(got_reused[i].doc, want[i].doc) << "rank " << i;
-          EXPECT_EQ(got_reused[i].score, want[i].score) << "rank " << i;
         }
       }
     }
-  }
-}
-
-TEST(MaxScoreTest, StrategyCanFlipMidStream) {
-  const auto& world = toppriv::testing::World();
-  SearchEngine engine(world.corpus, world.index, MakeBm25Scorer());
-  std::vector<ScoredDoc> taat = engine.Evaluate(world.workload[0].term_ids, 10);
-  engine.set_eval_strategy(EvalStrategy::kMaxScore);
-  std::vector<ScoredDoc> ms = engine.Evaluate(world.workload[0].term_ids, 10);
-  ASSERT_EQ(ms.size(), taat.size());
-  for (size_t i = 0; i < ms.size(); ++i) {
-    EXPECT_EQ(ms[i].doc, taat[i].doc);
-    EXPECT_EQ(ms[i].score, taat[i].score);
   }
 }
 

@@ -1,41 +1,51 @@
-// Parity/property suite for the sharded retrieval subsystem.
+// Parity suite for sharding as a segment partition.
 //
-// The contract under test: document-partitioning the index and
-// scatter-gathering queries across the shards is INVISIBLE — for any shard
-// count and any thread count, the sharded engine returns bit-identical
-// results to the monolithic engine, the aggregated statistics equal the
-// monolithic statistics exactly, and hostile serialized blobs die with
-// clean errors instead of corrupting memory.
-#include <set>
+// A K-shard index is the corpus as K sealed segments of one LiveIndex
+// (experiments::BuildSegmentedIndex), served by LiveSearchEngine — what
+// ExperimentFixture::MakeEngine builds for K > 1. The contract under test:
+// the partition is INVISIBLE. For any shard count, fan-out thread count,
+// evaluation strategy and scorer, the engine returns bit-identical results
+// to the monolithic SearchEngine, and the snapshot's aggregated statistics
+// equal the static index's exactly.
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "experiments/fixture.h"
 #include "index/inverted_index.h"
-#include "index/sharded_index.h"
+#include "index/live/live_index.h"
 #include "search/engine.h"
+#include "search/live_engine.h"
 #include "search/scorer.h"
-#include "search/sharded_engine.h"
 #include "serving/session_driver.h"
 #include "tests/test_helpers.h"
 #include "topicmodel/inference.h"
-#include "util/io.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace toppriv {
 namespace {
 
+using experiments::BuildSegmentedIndex;
+using experiments::ExperimentFixture;
 using index::IndexStats;
 using index::InvertedIndex;
-using index::ShardedIndex;
-using index::ShardRange;
+using index::live::IndexSnapshot;
+using search::EvalStrategy;
 using search::ScoredDoc;
 using toppriv::testing::World;
 
-// Shard counts the suite sweeps: 1 (degenerate), even splits, and a prime
-// that does not divide the corpus (uneven ranges).
-const size_t kShardCounts[] = {1, 2, 4, 7};
+// Shard counts the suite sweeps: 1 (monolithic), even splits, a prime
+// that does not divide the corpus (uneven ranges), and more shards than
+// documents (one document per segment).
+std::vector<size_t> ShardCounts() {
+  return {1, 2, 4, 7, World().corpus.num_documents() + 3};
+}
+
+const EvalStrategy kStrategies[] = {EvalStrategy::kTAAT,
+                                    EvalStrategy::kMaxScore};
 
 std::unique_ptr<search::Scorer> MakeScorer(int which) {
   switch (which) {
@@ -48,13 +58,30 @@ std::unique_ptr<search::Scorer> MakeScorer(int which) {
   }
 }
 
+/// One fixture over the World() corpus for the whole binary, so its
+/// cached K-segment indexes and fan-out pools are built once.
+ExperimentFixture& Fixture() {
+  static ExperimentFixture* fixture = [] {
+    experiments::FixtureConfig config;
+    config.corpus_params = World().params;
+    return new ExperimentFixture(config);
+  }();
+  return *fixture;
+}
+
+/// The LiveIndex behind a MakeEngine engine with K > 1 (null otherwise).
+const index::live::LiveIndex* SegmentsOf(const search::QueryEngine& engine) {
+  const auto* live = dynamic_cast<const search::LiveSearchEngine*>(&engine);
+  return live == nullptr ? nullptr : &live->live_index();
+}
+
 void ExpectBitIdentical(const std::vector<ScoredDoc>& got,
                         const std::vector<ScoredDoc>& want,
                         const char* context) {
   ASSERT_EQ(got.size(), want.size()) << context;
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i].doc, want[i].doc) << context << " rank " << i;
-    // Bit equality, not EXPECT_NEAR: the shards run the identical
+    // Bit equality, not EXPECT_NEAR: every segment runs the identical
     // floating-point ops in the identical order.
     EXPECT_EQ(got[i].score, want[i].score) << context << " rank " << i;
   }
@@ -62,65 +89,55 @@ void ExpectBitIdentical(const std::vector<ScoredDoc>& got,
 
 // ----------------------------------------------------------- bit parity --
 
-TEST(ShardingParityTest, EveryWorkloadQueryMatchesMonolithicBitForBit) {
-  const auto& world = World();
-  // All three scorers: LmDirichlet is the one whose Normalize depends on
-  // collection statistics, so it would catch a shard-local stats leak the
-  // other two cannot.
-  for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
-    search::SearchEngine mono(world.corpus, world.index,
-                              MakeScorer(scorer_kind));
-    for (size_t num_shards : kShardCounts) {
-      ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
-      for (size_t threads : {size_t{1}, size_t{4}}) {
-        search::ShardedSearchEngine engine(world.corpus, sharded,
-                                           MakeScorer(scorer_kind), threads);
-        for (size_t qi = 0; qi < world.workload.size(); ++qi) {
-          SCOPED_TRACE(::testing::Message()
-                       << "scorer=" << scorer_kind << " shards=" << num_shards
-                       << " threads=" << threads << " query=" << qi);
-          std::vector<ScoredDoc> want =
-              mono.Evaluate(world.workload[qi].term_ids, 10);
-          std::vector<ScoredDoc> got =
-              engine.Evaluate(world.workload[qi].term_ids, 10);
-          ExpectBitIdentical(got, want, "workload");
-        }
-      }
-    }
+TEST(ShardingParityTest, FixtureCorpusIsTheWorldCorpus) {
+  // The suite compares fixture engines against World()'s static index;
+  // that is only meaningful if the two corpora are the same.
+  const corpus::Corpus& got = Fixture().corpus();
+  const corpus::Corpus& want = World().corpus;
+  ASSERT_EQ(got.num_documents(), want.num_documents());
+  ASSERT_EQ(got.vocabulary_size(), want.vocabulary_size());
+  for (size_t d = 0; d < got.num_documents(); ++d) {
+    ASSERT_EQ(got.document(d).tokens, want.document(d).tokens) << d;
   }
 }
 
-TEST(ShardingParityTest, MaxScoreMatchesTaatAcrossShardGrid) {
-  // The evaluation-strategy face of the parity invariant: for K ∈
-  // {1, 2, 4, 7} shards × both strategies, every workload query returns
-  // the bit-identical top-k the monolithic TAAT engine returns. MaxScore
-  // prunes per shard against per-shard thresholds, so this also proves
-  // pruning composes with the scatter-gather merge.
+TEST(ShardingParityTest, MakeEngineMatchesMonolithicAcrossGrid) {
+  // K × strategy × fan-out threads × scorer. LmDirichlet is the scorer
+  // whose Normalize depends on collection statistics, so it catches a
+  // segment-local stats leak the other two cannot. MaxScore prunes per
+  // segment against per-segment thresholds, so the grid also proves
+  // pruning composes with the gather.
   const auto& world = World();
-  search::SearchEngine mono(world.corpus, world.index,
-                            search::MakeBm25Scorer());
-  search::SearchEngine mono_maxscore(world.corpus, world.index,
-                                     search::MakeBm25Scorer(),
-                                     search::EvalStrategy::kMaxScore);
-  for (size_t num_shards : kShardCounts) {
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
-    for (search::EvalStrategy strategy :
-         {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
-      search::ShardedSearchEngine engine(world.corpus, sharded,
-                                         search::MakeBm25Scorer(),
-                                         /*num_threads=*/1, strategy);
-      ASSERT_EQ(engine.eval_strategy(), strategy);
-      for (size_t qi = 0; qi < world.workload.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << "shards=" << num_shards << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        std::vector<ScoredDoc> want =
-            mono.Evaluate(world.workload[qi].term_ids, 10);
-        ExpectBitIdentical(engine.Evaluate(world.workload[qi].term_ids, 10),
-                           want, "strategy-grid");
-        ExpectBitIdentical(
-            mono_maxscore.Evaluate(world.workload[qi].term_ids, 10), want,
-            "mono-maxscore");
+  for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
+    search::SearchEngine mono(world.corpus, world.index,
+                              MakeScorer(scorer_kind));
+    for (size_t num_shards : ShardCounts()) {
+      for (EvalStrategy strategy : kStrategies) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "scorer=" << scorer_kind << " shards=" << num_shards
+                       << " strategy=" << search::EvalStrategyName(strategy)
+                       << " threads=" << threads);
+          std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
+              MakeScorer(scorer_kind), num_shards, threads, strategy);
+          ASSERT_EQ(engine->eval_strategy(), strategy);
+          const index::live::LiveIndex* live = SegmentsOf(*engine);
+          if (num_shards == 1) {
+            EXPECT_EQ(live, nullptr);
+          } else {
+            // Exactly min(K, N) sealed segments: no merge ran.
+            ASSERT_NE(live, nullptr);
+            EXPECT_EQ(live->num_segments(),
+                      std::min(num_shards, world.corpus.num_documents()));
+            EXPECT_EQ(live->Acquire()->num_segments(), live->num_segments());
+          }
+          for (size_t qi = 0; qi < world.workload.size(); ++qi) {
+            SCOPED_TRACE(qi);
+            ExpectBitIdentical(engine->Evaluate(world.workload[qi].term_ids, 10),
+                               mono.Evaluate(world.workload[qi].term_ids, 10),
+                               "workload");
+          }
+        }
       }
     }
   }
@@ -131,35 +148,39 @@ TEST(ShardingParityTest, RandomQueriesIncludingRepeatsAndUnknownTerms) {
   search::SearchEngine mono(world.corpus, world.index, search::MakeBm25Scorer());
   util::Rng rng(4242);
   for (size_t num_shards : {size_t{2}, size_t{7}}) {
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
-    search::ShardedSearchEngine engine(world.corpus, sharded,
-                                       search::MakeBm25Scorer());
-    for (int trial = 0; trial < 40; ++trial) {
-      SCOPED_TRACE(::testing::Message()
-                   << "shards=" << num_shards << " trial=" << trial);
-      size_t len = 1 + rng.UniformInt(uint64_t{6});
-      std::vector<text::TermId> query;
-      for (size_t i = 0; i < len; ++i) {
-        // Every other trial draws past the vocabulary to hit empty lists.
-        uint64_t space = world.corpus.vocabulary_size() + (trial % 2 ? 50 : 0);
-        query.push_back(static_cast<text::TermId>(rng.UniformInt(space)));
+    for (EvalStrategy strategy : kStrategies) {
+      std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
+          search::MakeBm25Scorer(), num_shards, 1, strategy);
+      for (int trial = 0; trial < 40; ++trial) {
+        SCOPED_TRACE(::testing::Message()
+                     << "shards=" << num_shards << " strategy="
+                     << search::EvalStrategyName(strategy)
+                     << " trial=" << trial);
+        size_t len = 1 + rng.UniformInt(uint64_t{6});
+        std::vector<text::TermId> query;
+        for (size_t i = 0; i < len; ++i) {
+          // Every other trial draws past the vocabulary to hit empty lists.
+          uint64_t space =
+              world.corpus.vocabulary_size() + (trial % 2 ? 50 : 0);
+          query.push_back(static_cast<text::TermId>(rng.UniformInt(space)));
+        }
+        // Duplicate a term half the time: qtf collapse must match too.
+        if (len > 1 && trial % 2 == 0) query.push_back(query[0]);
+        ExpectBitIdentical(engine->Evaluate(query, 15),
+                           mono.Evaluate(query, 15), "random");
       }
-      // Duplicate a term half the time: qtf collapse must match too.
-      if (len > 1 && trial % 2 == 0) query.push_back(query[0]);
-      ExpectBitIdentical(engine.Evaluate(query, 15), mono.Evaluate(query, 15),
-                         "random");
     }
   }
 }
 
-TEST(ShardingParityTest, KLargerThanCorpusLeavesEmptyShards) {
+TEST(ShardingParityTest, KLargerThanCorpusMakesOneSegmentPerDocument) {
   corpus::Corpus c = toppriv::testing::TinyCorpus();
   InvertedIndex mono_index = InvertedIndex::Build(c);
   search::SearchEngine mono(c, mono_index, search::MakeBm25Scorer());
-  ShardedIndex sharded = ShardedIndex::Build(c, 7);  // 4 docs, 7 shards
-  ASSERT_EQ(sharded.num_shards(), 7u);
-  EXPECT_EQ(sharded.num_documents(), 4u);
-  search::ShardedSearchEngine engine(c, sharded, search::MakeBm25Scorer());
+  std::unique_ptr<index::live::LiveIndex> live = BuildSegmentedIndex(c, 7);
+  ASSERT_EQ(live->num_segments(), 4u);  // 4 docs, 7 shards: no empties
+  EXPECT_EQ(live->Acquire()->num_documents(), 4u);
+  search::LiveSearchEngine engine(c, *live, search::MakeBm25Scorer());
   for (text::TermId t = 0; t < 4; ++t) {
     ExpectBitIdentical(engine.Evaluate({t}, 10), mono.Evaluate({t}, 10),
                        "tiny");
@@ -167,35 +188,41 @@ TEST(ShardingParityTest, KLargerThanCorpusLeavesEmptyShards) {
 }
 
 TEST(ShardingParityTest, EmptyQueryAndZeroKReturnNothing) {
-  const auto& world = World();
-  ShardedIndex sharded = ShardedIndex::Build(world.corpus, 4);
-  search::ShardedSearchEngine engine(world.corpus, sharded,
-                                     search::MakeBm25Scorer());
-  EXPECT_TRUE(engine.Evaluate({}, 10).empty());
-  EXPECT_TRUE(engine.Evaluate({0}, 0).empty());
+  std::unique_ptr<search::QueryEngine> engine =
+      Fixture().MakeEngine(search::MakeBm25Scorer(), 4);
+  EXPECT_TRUE(engine->Evaluate({}, 10).empty());
+  EXPECT_TRUE(engine->Evaluate({0}, 0).empty());
 }
 
 TEST(ShardingParityTest, SearchLogsLikeMonolithic) {
-  const auto& world = World();
-  ShardedIndex sharded = ShardedIndex::Build(world.corpus, 2);
-  search::ShardedSearchEngine engine(world.corpus, sharded,
-                                     search::MakeBm25Scorer());
-  engine.Search({1, 2}, 5, /*cycle_id=*/9);
-  engine.Evaluate({3}, 5);  // must NOT log
-  ASSERT_EQ(engine.query_log().size(), 1u);
-  EXPECT_EQ(engine.query_log().entries()[0].cycle_id, 9u);
-  EXPECT_EQ(engine.query_log().entries()[0].terms,
+  std::unique_ptr<search::QueryEngine> engine =
+      Fixture().MakeEngine(search::MakeBm25Scorer(), 2);
+  engine->Search({1, 2}, 5, /*cycle_id=*/9);
+  engine->Evaluate({3}, 5);  // must NOT log
+  ASSERT_EQ(engine->query_log().size(), 1u);
+  EXPECT_EQ(engine->query_log().entries()[0].cycle_id, 9u);
+  EXPECT_EQ(engine->query_log().entries()[0].terms,
             (std::vector<text::TermId>{1, 2}));
 }
 
 // ------------------------------------------------------------ tie-break --
 
-// Regression for doc-id-deterministic merge ordering: construct documents
-// with IDENTICAL content in DIFFERENT shards, so their scores tie exactly
-// (same tf, same length, same collection statistics → same double bits).
-// The merged ranking must order them by doc id no matter how many shards
-// evaluated them or in which order the shard results arrived.
-TEST(ShardingTieBreakTest, ExactCrossShardTiesOrderByDocId) {
+/// Segment of `snapshot` holding dense id `doc`.
+size_t SegmentHolding(const IndexSnapshot& snapshot, corpus::DocId doc) {
+  size_t s = 0;
+  while (s + 1 < snapshot.num_segments() &&
+         snapshot.segment(s + 1).dense_base <= doc) {
+    ++s;
+  }
+  return s;
+}
+
+// Regression for doc-id-deterministic merge ordering: documents with
+// IDENTICAL content in DIFFERENT segments score exactly equal (same tf,
+// same length, same collection statistics → same double bits). The merged
+// ranking must order them by doc id no matter how many segments evaluated
+// them or in which order their results arrived.
+TEST(ShardingTieBreakTest, ExactCrossSegmentTiesOrderByDocId) {
   corpus::Corpus c;
   text::Vocabulary& vocab = c.mutable_vocabulary();
   text::TermId a = vocab.AddTerm("alpha");
@@ -222,52 +249,63 @@ TEST(ShardingTieBreakTest, ExactCrossShardTiesOrderByDocId) {
   EXPECT_EQ(want[1].doc, 2u);
   EXPECT_EQ(want[2].doc, 5u);
 
+  util::ThreadPool pool(3);
   for (size_t num_shards : {size_t{2}, size_t{3}, size_t{6}}) {
     SCOPED_TRACE(num_shards);
-    ShardedIndex sharded = ShardedIndex::Build(c, num_shards);
-    // The tied docs must actually span shards for the test to bite.
-    if (num_shards > 1) {
-      EXPECT_NE(sharded.ShardOf(0), sharded.ShardOf(5));
+    std::unique_ptr<index::live::LiveIndex> live =
+        BuildSegmentedIndex(c, num_shards);
+    ASSERT_EQ(live->num_segments(), num_shards);
+    // The tied docs must actually span segments for the test to bite.
+    const auto snapshot = live->Acquire();
+    EXPECT_NE(SegmentHolding(*snapshot, 0), SegmentHolding(*snapshot, 5));
+    for (util::ThreadPool* fanout : {static_cast<util::ThreadPool*>(nullptr),
+                                     &pool}) {
+      search::LiveSearchEngine engine(c, *live, search::MakeBm25Scorer(),
+                                      EvalStrategy::kTAAT, fanout);
+      ExpectBitIdentical(engine.Evaluate({a}, 6), want, "tie/full");
+      // Truncation through the tie must keep the lower doc ids.
+      std::vector<ScoredDoc> top2 = engine.Evaluate({a}, 2);
+      ASSERT_EQ(top2.size(), 2u);
+      EXPECT_EQ(top2[0].doc, 0u);
+      EXPECT_EQ(top2[1].doc, 2u);
     }
-    search::ShardedSearchEngine engine(c, sharded, search::MakeBm25Scorer());
-    ExpectBitIdentical(engine.Evaluate({a}, 6), want, "tie/full");
-    // Truncation through the tie must keep the lower doc ids.
-    std::vector<ScoredDoc> top2 = engine.Evaluate({a}, 2);
-    ASSERT_EQ(top2.size(), 2u);
-    EXPECT_EQ(top2[0].doc, 0u);
-    EXPECT_EQ(top2[1].doc, 2u);
   }
 }
 
-// ------------------------------------------------------- parallel build --
+// -------------------------------------------------------- pooled fan-out --
 
-void ExpectStatsEqual(const IndexStats& got, const IndexStats& want);
-
-// Shard construction fans out over ThreadPool::ParallelFor (shards are
-// independent doc ranges). The pooled build must be indistinguishable from
-// the serial one: identical serialized bytes, identical stats, identical
-// query results.
-TEST(ShardingParallelBuildTest, PooledBuildMatchesSerialBitForBit) {
+// The pooled fan-out must be indistinguishable from the sequential
+// scatter, also when several callers share the fixture's one fan-out pool
+// at once (the serving fleet's shape, and this suite's ThreadSanitizer
+// target for the pool, the per-segment result slots and the thread-local
+// scratches).
+TEST(ShardingFanOutTest, PooledMatchesSequentialUnderConcurrentCallers) {
   const auto& world = World();
-  util::ThreadPool pool(4);
-  for (size_t num_shards : kShardCounts) {
-    SCOPED_TRACE(num_shards);
-    ShardedIndex serial = ShardedIndex::Build(world.corpus, num_shards);
-    ShardedIndex pooled = ShardedIndex::Build(world.corpus, num_shards, &pool);
-    // Byte equality implies every shard's postings, lengths and manifest
-    // agree exactly; stats equality re-checks the aggregates.
-    EXPECT_EQ(pooled.Serialize(), serial.Serialize());
-    ExpectStatsEqual(pooled.ComputeStats(), serial.ComputeStats());
-    search::ShardedSearchEngine serial_engine(world.corpus, serial,
-                                              search::MakeBm25Scorer());
-    search::ShardedSearchEngine pooled_engine(world.corpus, pooled,
-                                              search::MakeBm25Scorer());
-    for (size_t qi = 0; qi < 10; ++qi) {
-      ExpectBitIdentical(
-          pooled_engine.Evaluate(world.workload[qi].term_ids, 10),
-          serial_engine.Evaluate(world.workload[qi].term_ids, 10),
-          "parallel-build");
+  for (EvalStrategy strategy : kStrategies) {
+    SCOPED_TRACE(search::EvalStrategyName(strategy));
+    std::unique_ptr<search::QueryEngine> sequential =
+        Fixture().MakeEngine(search::MakeBm25Scorer(), 7, 1, strategy);
+    std::unique_ptr<search::QueryEngine> pooled_a =
+        Fixture().MakeEngine(search::MakeBm25Scorer(), 7, 4, strategy);
+    std::unique_ptr<search::QueryEngine> pooled_b =
+        Fixture().MakeEngine(search::MakeBm25Scorer(), 4, 4, strategy);
+    std::vector<std::vector<ScoredDoc>> want;
+    for (const auto& q : world.workload) {
+      want.push_back(sequential->Evaluate(q.term_ids, 10));
     }
+    std::vector<std::thread> callers;
+    for (int c = 0; c < 4; ++c) {
+      const search::QueryEngine& engine = c % 2 == 0 ? *pooled_a : *pooled_b;
+      callers.emplace_back([&, c] {
+        for (size_t i = 0; i < world.workload.size(); ++i) {
+          const size_t qi = (i + static_cast<size_t>(c)) %
+                            world.workload.size();
+          ExpectBitIdentical(engine.Evaluate(world.workload[qi].term_ids, 10),
+                             want[qi], "pooled");
+        }
+      });
+    }
+    for (std::thread& t : callers) t.join();
   }
 }
 
@@ -285,257 +323,89 @@ void ExpectStatsEqual(const IndexStats& got, const IndexStats& want) {
 
 TEST(ShardingStatsTest, AggregatedStatsEqualMonolithicExactly) {
   const auto& world = World();
-  IndexStats want = world.index.ComputeStats();
-  for (size_t num_shards : kShardCounts) {
+  const IndexStats want = world.index.ComputeStats();
+  for (size_t num_shards : ShardCounts()) {
     SCOPED_TRACE(num_shards);
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
+    std::unique_ptr<index::live::LiveIndex> live =
+        BuildSegmentedIndex(world.corpus, num_shards);
+    const auto snapshot = live->Acquire();
     // Every aggregate — including encoded_bytes, which cannot be recovered
-    // by summing shard ByteSize()s (each shard re-anchors its first
+    // by summing segment ByteSize()s (each segment re-anchors its first
     // posting) — must match the monolithic index exactly: the paper's §II
     // PIR arithmetic is partition-invariant.
-    ExpectStatsEqual(sharded.ComputeStats(), want);
-    // Collection-level accessors too.
-    EXPECT_EQ(sharded.num_documents(), world.index.num_documents());
-    EXPECT_EQ(sharded.num_terms(), world.index.num_terms());
-    EXPECT_EQ(sharded.total_tokens(), world.index.total_tokens());
-    EXPECT_DOUBLE_EQ(sharded.avg_doc_length(), world.index.avg_doc_length());
+    ExpectStatsEqual(snapshot->ComputeStats(), want);
+    EXPECT_EQ(snapshot->num_documents(), world.index.num_documents());
+    EXPECT_EQ(snapshot->num_terms(), world.index.num_terms());
+    EXPECT_EQ(snapshot->total_tokens(), world.index.total_tokens());
+    EXPECT_DOUBLE_EQ(snapshot->avg_doc_length(), world.index.avg_doc_length());
   }
 }
 
-TEST(ShardingStatsTest, PerShardPostingsSumToMonolithic) {
+TEST(ShardingStatsTest, SegmentsTileTheDocSpaceAndSumToMonolithic) {
   const auto& world = World();
-  for (size_t num_shards : kShardCounts) {
+  const size_t n = world.corpus.num_documents();
+  for (size_t num_shards : ShardCounts()) {
     SCOPED_TRACE(num_shards);
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
+    std::unique_ptr<index::live::LiveIndex> live =
+        BuildSegmentedIndex(world.corpus, num_shards);
+    const auto snapshot = live->Acquire();
+    ASSERT_EQ(snapshot->num_segments(), std::min(num_shards, n));
+    corpus::DocId expected_base = 0;
     uint64_t postings = 0;
-    size_t docs = 0;
-    for (size_t s = 0; s < sharded.num_shards(); ++s) {
-      IndexStats shard_stats = sharded.shard(s).ComputeStats();
-      postings += shard_stats.total_postings;
-      docs += shard_stats.num_documents;
-      EXPECT_EQ(shard_stats.num_documents,
-                sharded.manifest().ranges[s].size());
+    for (size_t s = 0; s < snapshot->num_segments(); ++s) {
+      const index::live::SnapshotSegment& ss = snapshot->segment(s);
+      // Contiguous, in order, near-equal: segment s holds the static
+      // partition's range [N*s/K, N*(s+1)/K) of every non-empty range.
+      EXPECT_EQ(ss.dense_base, expected_base);
+      EXPECT_GE(ss.live_docs, 1u);
+      EXPECT_LE(ss.live_docs, (n + num_shards - 1) / num_shards);
+      expected_base += ss.live_docs;
+      postings += ss.segment->index().ComputeStats().total_postings;
     }
-    IndexStats want = world.index.ComputeStats();
-    EXPECT_EQ(postings, want.total_postings);
-    EXPECT_EQ(docs, want.num_documents);
+    EXPECT_EQ(expected_base, n);
+    EXPECT_EQ(postings, world.index.ComputeStats().total_postings);
   }
 }
 
-TEST(ShardingStatsTest, DocFreqAndDocLengthRoundTripThroughShardMapping) {
+TEST(ShardingStatsTest, DocFreqAndDocLengthMatchMonolithic) {
   const auto& world = World();
   util::Rng rng(1337);
-  for (size_t num_shards : kShardCounts) {
+  for (size_t num_shards : {size_t{2}, size_t{4}, size_t{7}}) {
     SCOPED_TRACE(num_shards);
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
+    std::unique_ptr<index::live::LiveIndex> live =
+        BuildSegmentedIndex(world.corpus, num_shards);
+    const auto snapshot = live->Acquire();
     for (int trial = 0; trial < 200; ++trial) {
       text::TermId term = static_cast<text::TermId>(
           rng.UniformInt(uint64_t{world.corpus.vocabulary_size()}));
-      EXPECT_EQ(sharded.DocFreq(term), world.index.DocFreq(term))
+      EXPECT_EQ(snapshot->DocFreq(term), world.index.DocFreq(term))
           << "term " << term;
-      // Per-shard dfs must additionally SUM to the global df.
+      // Per-segment dfs must additionally SUM to the global df.
       uint32_t sum = 0;
-      for (size_t s = 0; s < sharded.num_shards(); ++s) {
-        sum += sharded.shard(s).DocFreq(term);
+      for (size_t s = 0; s < snapshot->num_segments(); ++s) {
+        sum += snapshot->segment(s).segment->index().DocFreq(term);
       }
       EXPECT_EQ(sum, world.index.DocFreq(term)) << "term " << term;
 
       corpus::DocId doc = static_cast<corpus::DocId>(
           rng.UniformInt(uint64_t{world.corpus.num_documents()}));
-      EXPECT_EQ(sharded.DocLength(doc), world.index.DocLength(doc))
+      EXPECT_EQ(snapshot->DocLength(doc), world.index.DocLength(doc))
           << "doc " << doc;
-      // The owning shard really owns it.
-      size_t s = sharded.ShardOf(doc);
-      const ShardRange& range = sharded.manifest().ranges[s];
-      EXPECT_GE(doc, range.begin);
-      EXPECT_LT(doc, range.end);
     }
     // Out-of-vocabulary terms have zero frequency everywhere.
-    EXPECT_EQ(sharded.DocFreq(static_cast<text::TermId>(
+    EXPECT_EQ(snapshot->DocFreq(static_cast<text::TermId>(
                   world.corpus.vocabulary_size() + 3)),
               0u);
   }
 }
 
-TEST(ShardingStatsTest, RangesTileTheDocSpace) {
-  const auto& world = World();
-  for (size_t num_shards : kShardCounts) {
-    SCOPED_TRACE(num_shards);
-    ShardedIndex sharded = ShardedIndex::Build(world.corpus, num_shards);
-    ASSERT_EQ(sharded.manifest().ranges.size(), num_shards);
-    corpus::DocId expected_begin = 0;
-    for (const ShardRange& r : sharded.manifest().ranges) {
-      EXPECT_EQ(r.begin, expected_begin);
-      EXPECT_LE(r.begin, r.end);
-      expected_begin = r.end;
-    }
-    EXPECT_EQ(expected_begin, world.corpus.num_documents());
-  }
-}
-
-// ---------------------------------------------------------- serialization --
-
-TEST(ShardedIndexSerializationTest, RoundTripPreservesEverything) {
-  const auto& world = World();
-  for (size_t num_shards : {size_t{1}, size_t{4}}) {
-    SCOPED_TRACE(num_shards);
-    ShardedIndex original = ShardedIndex::Build(world.corpus, num_shards);
-    std::string bytes = original.Serialize();
-    auto restored = ShardedIndex::Deserialize(bytes);
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    // Byte-stable: re-serializing reproduces the identical blob.
-    EXPECT_EQ(restored->Serialize(), bytes);
-    ExpectStatsEqual(restored->ComputeStats(), original.ComputeStats());
-    // Query results survive the round trip bit for bit.
-    search::ShardedSearchEngine before(world.corpus, original,
-                                       search::MakeBm25Scorer());
-    search::ShardedSearchEngine after(world.corpus, *restored,
-                                      search::MakeBm25Scorer());
-    for (size_t qi = 0; qi < 10; ++qi) {
-      ExpectBitIdentical(after.Evaluate(world.workload[qi].term_ids, 10),
-                         before.Evaluate(world.workload[qi].term_ids, 10),
-                         "roundtrip");
-    }
-  }
-}
-
-// Builds a syntactically valid sharded blob for TinyCorpus (4 docs) with
-// hand-controlled manifest fields, for hostile-mutation tests.
-std::string TinyShardedBlob() {
-  corpus::Corpus c = toppriv::testing::TinyCorpus();
-  return ShardedIndex::Build(c, 2).Serialize();
-}
-
-// Re-encodes a 2-shard TinyCorpus blob with attacker-chosen ranges.
-std::string BlobWithRanges(uint64_t b0, uint64_t e0, uint64_t b1, uint64_t e1,
-                           uint64_t declared_docs) {
-  corpus::Corpus c = toppriv::testing::TinyCorpus();
-  ShardedIndex honest = ShardedIndex::Build(c, 2);
-  util::BinaryWriter w;
-  w.WriteVarint(2);                          // shard count
-  w.WriteVarint(honest.num_terms());         // term space
-  w.WriteVarint(declared_docs);              // document count
-  w.WriteVarint(b0);
-  w.WriteVarint(e0);
-  w.WriteVarint(b1);
-  w.WriteVarint(e1);
-  w.WriteString(honest.shard(0).Serialize());
-  w.WriteString(honest.shard(1).Serialize());
-  return w.data();
-}
-
-TEST(ShardedIndexHostileTest, TruncatedBlobsNeverCrash) {
-  std::string bytes = TinyShardedBlob();
-  ASSERT_TRUE(ShardedIndex::Deserialize(bytes).ok());
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    auto result = ShardedIndex::Deserialize(bytes.substr(0, cut));
-    EXPECT_FALSE(result.ok()) << "cut " << cut;
-    EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss)
-        << "cut " << cut;
-  }
-}
-
-TEST(ShardedIndexHostileTest, ZeroShardsRejected) {
-  util::BinaryWriter w;
-  w.WriteVarint(0);
-  auto result = ShardedIndex::Deserialize(w.data());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, ShardCountExceedingPayloadRejectedBeforeAlloc) {
-  // A few bytes claiming billions of shards must die at the bound check,
-  // not after a giant reserve.
-  util::BinaryWriter w;
-  w.WriteVarint(uint64_t{1} << 40);
-  auto result = ShardedIndex::Deserialize(w.data());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, InvertedRangeRejected) {
-  auto result = ShardedIndex::Deserialize(BlobWithRanges(2, 0, 2, 4, 4));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, OverlappingRangesRejected) {
-  auto result = ShardedIndex::Deserialize(BlobWithRanges(0, 3, 2, 4, 4));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, GappedRangesRejected) {
-  auto result = ShardedIndex::Deserialize(BlobWithRanges(0, 1, 2, 4, 4));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, RangesNotCoveringDeclaredCountRejected) {
-  auto result = ShardedIndex::Deserialize(BlobWithRanges(0, 2, 2, 3, 4));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, RangeBeyondDocIdSpaceRejected) {
-  auto result = ShardedIndex::Deserialize(
-      BlobWithRanges(0, 2, 2, (uint64_t{1} << 33), uint64_t{1} << 33));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, ShardPayloadRangeMismatchRejected) {
-  // Ranges claim shard 0 owns three docs, but its blob holds two.
-  auto result = ShardedIndex::Deserialize(BlobWithRanges(0, 3, 3, 4, 4));
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, ShardTermSpaceMismatchRejected) {
-  corpus::Corpus c = toppriv::testing::TinyCorpus();
-  ShardedIndex honest = ShardedIndex::Build(c, 2);
-  util::BinaryWriter w;
-  w.WriteVarint(2);
-  w.WriteVarint(honest.num_terms() + 1);  // lie about the term space
-  w.WriteVarint(4);
-  w.WriteVarint(0);
-  w.WriteVarint(2);
-  w.WriteVarint(2);
-  w.WriteVarint(4);
-  w.WriteString(honest.shard(0).Serialize());
-  w.WriteString(honest.shard(1).Serialize());
-  auto result = ShardedIndex::Deserialize(w.data());
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, TrailingBytesRejected) {
-  std::string bytes = TinyShardedBlob() + "x";
-  auto result = ShardedIndex::Deserialize(bytes);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), util::StatusCode::kDataLoss);
-}
-
-TEST(ShardedIndexHostileTest, CorruptShardBlobPropagatesShardHardening) {
-  // Flip bytes inside the first shard's payload: either the inner
-  // (hardened) InvertedIndex deserializer rejects it, or the manifest
-  // cross-checks do. Nothing may crash.
-  std::string bytes = TinyShardedBlob();
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string mutated = bytes;
-    mutated[i] = static_cast<char>(mutated[i] ^ 0x5a);
-    ShardedIndex::Deserialize(mutated);  // must not crash or OOM
-  }
-  SUCCEED();
-}
-
 // ------------------------------------------------------- serving parity --
 
 // The full-stack invariant: a SessionDriver serving many concurrent
-// sessions over a sharded fleet produces digests bit-identical to the same
-// driver over the monolithic engine, at every driver thread count × shard
-// fan-out combination. This is also the suite's ThreadSanitizer target for
-// the scatter path (concurrent sessions share one shard pool).
+// sessions over a K-segment engine produces digests bit-identical to the
+// same driver over the monolithic engine, at every driver thread count ×
+// segment fan-out × strategy combination (concurrent sessions share one
+// fan-out pool).
 TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
   const auto& world = World();
   topicmodel::LdaInferencer inferencer(world.model);
@@ -559,28 +429,24 @@ TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
                             search::MakeBm25Scorer());
   serving::ServingReport want = run(mono, 1);
 
-  ShardedIndex sharded = ShardedIndex::Build(world.corpus, 4);
   for (size_t engine_threads : {size_t{1}, size_t{4}}) {
-    for (search::EvalStrategy strategy :
-         {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
-    search::ShardedSearchEngine engine(world.corpus, sharded,
-                                       search::MakeBm25Scorer(),
-                                       engine_threads, strategy);
-    for (size_t driver_threads : {size_t{1}, size_t{4}}) {
-      SCOPED_TRACE(::testing::Message() << "engine_threads=" << engine_threads
-                                        << " strategy="
-                                        << search::EvalStrategyName(strategy)
-                                        << " driver_threads="
-                                        << driver_threads);
-      serving::ServingReport got = run(engine, driver_threads);
-      ASSERT_EQ(got.sessions.size(), want.sessions.size());
-      for (size_t s = 0; s < got.sessions.size(); ++s) {
-        EXPECT_EQ(got.sessions[s].digest, want.sessions[s].digest)
-            << "session " << s;
-        EXPECT_EQ(got.sessions[s].queries_submitted,
-                  want.sessions[s].queries_submitted);
+    for (EvalStrategy strategy : kStrategies) {
+      std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
+          search::MakeBm25Scorer(), 4, engine_threads, strategy);
+      for (size_t driver_threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "engine_threads=" << engine_threads << " strategy="
+                     << search::EvalStrategyName(strategy)
+                     << " driver_threads=" << driver_threads);
+        serving::ServingReport got = run(*engine, driver_threads);
+        ASSERT_EQ(got.sessions.size(), want.sessions.size());
+        for (size_t s = 0; s < got.sessions.size(); ++s) {
+          EXPECT_EQ(got.sessions[s].digest, want.sessions[s].digest)
+              << "session " << s;
+          EXPECT_EQ(got.sessions[s].queries_submitted,
+                    want.sessions[s].queries_submitted);
+        }
       }
-    }
     }
   }
 }

@@ -1,11 +1,11 @@
-// Negative-compile probe shaped like the bug this PR fixed: an engine
-// whose eval-strategy setter WRITES a GUARDED_BY member without taking the
-// mutex (the pre-fix SearchEngine::set_eval_strategy, racing concurrent
-// Evaluate readers). Under Clang with -Werror=thread-safety-analysis this
-// translation unit MUST FAIL to compile; the configure-time check in
-// tests/CMakeLists.txt raises FATAL_ERROR if it ever succeeds. The probe
-// pins the WRITE side specifically — unlocked_access.cc already pins the
-// read side — so neither direction of the annotation can rot alone.
+// Negative-compile probe for the WRITE side of the capability analysis: a
+// member function that writes a GUARDED_BY member without taking its mutex
+// (the shape of a setter racing concurrent readers). Under Clang with
+// -Werror=thread-safety-analysis this translation unit MUST FAIL to
+// compile; the configure-time check in tests/CMakeLists.txt raises
+// FATAL_ERROR if it ever succeeds. It guards every GUARDED_BY member in the
+// tree, not any one class: unlocked_access.cc already pins the read side,
+// so neither direction of the annotation can rot alone.
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
