@@ -94,8 +94,7 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
   for (size_t qi = 0; qi < query.size(); ++qi) {
     const index::PostingList& list = index.Postings(query[qi].term);
     if (list.empty() || dfs[qi] == 0) continue;
-    const uint32_t df = dfs[qi];
-    const uint32_t qtf = query[qi].qtf;
+    const PreparedTerm term = scorer.PrepareTerm(stats, dfs[qi], query[qi].qtf);
     for (size_t b = 0; b < list.num_blocks(); ++b) {
       // Cooperative cancellation, one check per 128-posting block. An
       // abandoned query surfaces NOTHING (the scratch self-heals on the
@@ -117,8 +116,8 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
           touched.push_back(doc);
           scores[doc] = 0.0;
         }
-        scores[doc] += scorer.TermScore(stats, index.DocLength(doc),
-                                        block.tfs[i], df, qtf);
+        scores[doc] +=
+            scorer.ScorePosting(term, index.DocLength(doc), block.tfs[i]);
       }
     }
   }
@@ -249,13 +248,14 @@ std::vector<double> ComputeTermImpactBounds(
     const uint32_t df = global_dfs != nullptr
                             ? (t < global_dfs->size() ? (*global_dfs)[t] : 0)
                             : list.size();
+    const PreparedTerm term = scorer.PrepareTerm(stats, df, /*qtf=*/1);
     double best = 0.0;
     for (size_t b = 0; b < list.num_blocks(); ++b) {
       list.DecodeBlock(b, &block);
       for (uint32_t i = 0; i < block.count; ++i) {
-        best = std::max(best,
-                        scorer.TermScore(stats, index.DocLength(block.docs[i]),
-                                         block.tfs[i], df, /*qtf=*/1));
+        best = std::max(best, scorer.ScorePosting(
+                                  term, index.DocLength(block.docs[i]),
+                                  block.tfs[i]));
       }
     }
     bounds[t] = best;
@@ -297,9 +297,10 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
     c.block_decoded = false;
     c.exhausted = false;
     c.doc = list.block(0).first_doc;
+    c.term = scorer.PrepareTerm(stats, dfs[qi], query[qi].qtf);
     if (term_bounds != nullptr) {
       // Exact max impact at qtf = 1, scaled by qtf. The scaling reorders
-      // the multiplication relative to TermScore's own, so the inflation
+      // the multiplication relative to ScorePosting's own, so the inflation
       // margin (applied at every use site) is what keeps it a true bound.
       c.ub = static_cast<double>(query[qi].qtf) * (*term_bounds)[query[qi].term];
     } else {
@@ -461,9 +462,8 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         c.pos = 0;
       }
       if (!pivot_live) continue;
-      const double v = scorer.TermScore(stats, doc_length,
-                                        c.block.tfs[c.pos], dfs[c.qi],
-                                        query[c.qi].qtf);
+      const double v =
+          scorer.ScorePosting(c.term, doc_length, c.block.tfs[c.pos]);
       partial += v;
       contrib[ess[x]] = v;
       hits.push_back(ess[x]);
@@ -486,9 +486,8 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         const size_t i = order[j];
         TermCursor& c = cursors[i];
         if (CursorAdvanceTo(&c, pivot)) {
-          const double v = scorer.TermScore(stats, doc_length,
-                                            c.block.tfs[c.pos], dfs[c.qi],
-                                            query[c.qi].qtf);
+          const double v =
+              scorer.ScorePosting(c.term, doc_length, c.block.tfs[c.pos]);
           partial += v;
           contrib[i] = v;
           hits.push_back(static_cast<uint32_t>(i));

@@ -51,6 +51,8 @@ struct TermCursor {
   const index::PostingList* list = nullptr;
   /// Index into the canonical query order (for qtf/df lookups).
   size_t qi = 0;
+  /// The term's per-query scoring constants (Scorer::PrepareTerm).
+  PreparedTerm term;
   /// List-level score upper bound for this term.
   double ub = 0.0;
   /// Doc id at the current position, kept hot in the cursor so pivot scans

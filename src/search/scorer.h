@@ -32,17 +32,50 @@ struct CollectionStats {
   }
 };
 
+/// The per-term constants of one query term, computed once per query by
+/// Scorer::PrepareTerm and read by Scorer::ScorePosting for every posting
+/// of the term. Which fields a scorer fills is its own business; callers
+/// only pass the struct back to the scorer that made it.
+struct PreparedTerm {
+  /// False when the term contributes 0.0 to every document (df == 0, or
+  /// an empty collection under LM-Dirichlet).
+  bool active = false;
+  /// Query term frequency, as a double.
+  double qtf = 0.0;
+  /// BM25: the term's idf. TF-IDF: the query weight qtf * idf.
+  /// LM-Dirichlet: mu * p(w|C), the smoothing mass.
+  double term_weight = 0.0;
+  /// BM25: the collection's average document length.
+  double avg_doc_length = 0.0;
+};
+
 /// Term-at-a-time scoring interface: contribution of one (term, posting)
-/// pair to a document's accumulator.
+/// pair to a document's accumulator, split into a per-term half and a
+/// per-posting half. Evaluators call PrepareTerm once per query term and
+/// ScorePosting once per posting, so per-term work (the idf logarithm)
+/// leaves the posting loop. ScorePosting performs exactly the operations,
+/// in exactly the order, of the one-shot formula, so the split moves no
+/// result bit; TermScore composes the two, which makes it equal to the
+/// evaluators' path by construction.
 class Scorer {
  public:
   virtual ~Scorer() = default;
 
-  /// Score contribution of a term occurring `tf` times in a document of
-  /// `doc_length` tokens, where the term occurs in `df` documents of the
-  /// whole collection and appears `qtf` times in the query.
-  virtual double TermScore(const CollectionStats& stats, uint32_t doc_length,
-                           uint32_t tf, uint32_t df, uint32_t qtf) const = 0;
+  /// Per-term constants for a term that occurs in `df` documents of the
+  /// whole collection and `qtf` times in the query.
+  virtual PreparedTerm PrepareTerm(const CollectionStats& stats, uint32_t df,
+                                   uint32_t qtf) const = 0;
+
+  /// Score contribution of the prepared term occurring `tf` times in a
+  /// document of `doc_length` tokens.
+  virtual double ScorePosting(const PreparedTerm& term, uint32_t doc_length,
+                              uint32_t tf) const = 0;
+
+  /// One-shot form of PrepareTerm + ScorePosting.
+  double TermScore(const CollectionStats& stats, uint32_t doc_length,
+                   uint32_t tf, uint32_t df, uint32_t qtf) const {
+    return ScorePosting(PrepareTerm(stats, df, qtf), doc_length, tf);
+  }
 
   /// Optional per-document normalization applied after accumulation.
   /// Contract (the MaxScore evaluator depends on it): for a non-negative
@@ -81,8 +114,10 @@ class Scorer {
 /// (approximated by document token length).
 class TfIdfCosineScorer : public Scorer {
  public:
-  double TermScore(const CollectionStats& stats, uint32_t doc_length,
-                   uint32_t tf, uint32_t df, uint32_t qtf) const override;
+  PreparedTerm PrepareTerm(const CollectionStats& stats, uint32_t df,
+                           uint32_t qtf) const override;
+  double ScorePosting(const PreparedTerm& term, uint32_t doc_length,
+                      uint32_t tf) const override;
   double Normalize(const CollectionStats& stats, uint32_t doc_length,
                    double accumulated) const override;
   std::string Name() const override { return "tfidf-cosine"; }
@@ -92,8 +127,10 @@ class TfIdfCosineScorer : public Scorer {
 class Bm25Scorer : public Scorer {
  public:
   explicit Bm25Scorer(double k1 = 1.2, double b = 0.75) : k1_(k1), b_(b) {}
-  double TermScore(const CollectionStats& stats, uint32_t doc_length,
-                   uint32_t tf, uint32_t df, uint32_t qtf) const override;
+  PreparedTerm PrepareTerm(const CollectionStats& stats, uint32_t df,
+                           uint32_t qtf) const override;
+  double ScorePosting(const PreparedTerm& term, uint32_t doc_length,
+                      uint32_t tf) const override;
   std::string Name() const override { return "bm25"; }
 
  private:
@@ -106,8 +143,10 @@ class Bm25Scorer : public Scorer {
 class LmDirichletScorer : public Scorer {
  public:
   explicit LmDirichletScorer(double mu = 1000.0);
-  double TermScore(const CollectionStats& stats, uint32_t doc_length,
-                   uint32_t tf, uint32_t df, uint32_t qtf) const override;
+  PreparedTerm PrepareTerm(const CollectionStats& stats, uint32_t df,
+                           uint32_t qtf) const override;
+  double ScorePosting(const PreparedTerm& term, uint32_t doc_length,
+                      uint32_t tf) const override;
   double Normalize(const CollectionStats& stats, uint32_t doc_length,
                    double accumulated) const override;
   std::string Name() const override { return "lm-dirichlet"; }

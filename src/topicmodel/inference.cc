@@ -1,5 +1,7 @@
 #include "topicmodel/inference.h"
 
+#include <algorithm>
+
 #include "util/check.h"
 #include "util/hash.h"
 #include "util/metrics.h"
@@ -62,6 +64,20 @@ std::vector<double> LdaInferencer::InferQuery(
     ++counts[t];
   }
 
+  std::vector<double>& column = workspace->column;
+  column.resize(tokens.size() * num_topics);
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    double* col = column.data() + i * num_topics;
+    for (size_t t = 0; t < num_topics; ++t) {
+      col[t] = model_.Phi(static_cast<TopicId>(t), tokens[i]);
+    }
+  }
+  std::vector<double>& weight = workspace->weight;
+  weight.resize(num_topics);
+  for (size_t t = 0; t < num_topics; ++t) {
+    weight[t] = static_cast<double>(counts[t]) + alpha;
+  }
+
   std::vector<double>& cdf = workspace->cdf;
   cdf.resize(num_topics);
   std::vector<double>& accum = workspace->accum;
@@ -72,39 +88,43 @@ std::vector<double> LdaInferencer::InferQuery(
     for (size_t i = 0; i < tokens.size(); ++i) {
       uint16_t old_t = z[i];
       --counts[old_t];
-      const text::TermId w = tokens[i];
+      weight[old_t] = static_cast<double>(counts[old_t]) + alpha;
+      const double* col = column.data() + i * num_topics;
       double total = 0.0;
       for (size_t t = 0; t < num_topics; ++t) {
-        double p = (static_cast<double>(counts[t]) + alpha) *
-                   model_.Phi(static_cast<TopicId>(t), w);
-        total += p;
+        total += weight[t] * col[t];
         cdf[t] = total;
       }
       uint16_t new_t;
       if (total <= 0.0) {
         new_t = static_cast<uint16_t>(rng.UniformInt(num_topics));
       } else {
-        double r = rng.Uniform() * total;
-        size_t lo = 0, hi = num_topics - 1;
-        while (lo < hi) {
-          size_t mid = (lo + hi) / 2;
-          if (cdf[mid] > r) {
-            hi = mid;
-          } else {
-            lo = mid + 1;
-          }
+        // The first t with cdf[t] > r, else T-1, as a branch-free lower
+        // bound: the answer stays within [lo, lo + n] and each step halves
+        // n with a conditional move instead of a mispredicted jump. cdf is
+        // non-decreasing, so this is the index a branchy binary search
+        // over [0, T-1] returns.
+        const double r = rng.Uniform() * total;
+        size_t lo = 0;
+        size_t n = num_topics;
+        while (n > 1) {
+          const size_t half = n / 2;
+          lo += cdf[lo + half] <= r ? half : 0;
+          n -= half;
         }
-        new_t = static_cast<uint16_t>(lo);
+        lo += cdf[lo] <= r ? 1 : 0;
+        new_t = static_cast<uint16_t>(std::min(lo, num_topics - 1));
       }
       z[i] = new_t;
       ++counts[new_t];
+      weight[new_t] = static_cast<double>(counts[new_t]) + alpha;
     }
     if (iter >= options_.burn_in) {
       ++samples;
       double denom = static_cast<double>(tokens.size()) +
                      static_cast<double>(num_topics) * alpha;
       for (size_t t = 0; t < num_topics; ++t) {
-        accum[t] += (static_cast<double>(counts[t]) + alpha) / denom;
+        accum[t] += weight[t] / denom;
       }
     }
   }

@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -85,6 +86,17 @@ INSTANTIATE_TEST_SUITE_P(Ks, TopKProperty,
 
 // ---------------------------------------------------------------- Scorers --
 
+std::unique_ptr<Scorer> ScorerByKind(int which) {
+  switch (which) {
+    case 0:
+      return MakeBm25Scorer();
+    case 1:
+      return MakeTfIdfScorer();
+    default:
+      return std::make_unique<LmDirichletScorer>();
+  }
+}
+
 TEST(ScorerTest, Bm25MonotoneInTf) {
   corpus::Corpus c = toppriv::testing::TinyCorpus();
   index::InvertedIndex index = index::InvertedIndex::Build(c);
@@ -132,6 +144,87 @@ TEST(ScorerTest, LmDirichletPrefersMatchingDocs) {
   double with_term =
       scorer.TermScore(CollectionStats::Of(index), index.DocLength(0), 2, 3, 1);
   EXPECT_GT(with_term, 0.0);
+}
+
+// Independently written one-shot forms of the three scoring formulas. The
+// PrepareTerm + ScorePosting split must reproduce them bit for bit, so
+// hoisting per-term constants out of the posting loop cannot move a result.
+double ReferenceTermScore(int kind, const CollectionStats& stats,
+                          uint32_t doc_length, uint32_t tf, uint32_t df,
+                          uint32_t qtf) {
+  const double n = static_cast<double>(stats.num_documents);
+  switch (kind) {
+    case 0: {  // BM25, k1 = 1.2, b = 0.75
+      if (df == 0) return 0.0;
+      const double k1 = 1.2;
+      const double b = 0.75;
+      double idf = std::log(1.0 + (n - static_cast<double>(df) + 0.5) /
+                                      (static_cast<double>(df) + 0.5));
+      double dl = static_cast<double>(doc_length);
+      double avgdl = stats.avg_doc_length;
+      double denom = static_cast<double>(tf) +
+                     k1 * (1.0 - b + b * (avgdl > 0.0 ? dl / avgdl : 1.0));
+      double tf_part = static_cast<double>(tf) * (k1 + 1.0) / denom;
+      return idf * tf_part * static_cast<double>(qtf);
+    }
+    case 1: {  // TF-IDF cosine
+      if (df == 0) return 0.0;
+      double idf = std::log(1.0 + n / static_cast<double>(df));
+      double dtf = 1.0 + std::log(static_cast<double>(tf));
+      double qw = static_cast<double>(qtf) * idf;
+      return dtf * qw;
+    }
+    default: {  // LM-Dirichlet, mu = 1000
+      double total = static_cast<double>(stats.total_tokens);
+      if (total <= 0.0) return 0.0;
+      double p_coll = static_cast<double>(df > 0 ? df : 1) / total;
+      return static_cast<double>(qtf) *
+             std::log(1.0 + static_cast<double>(tf) / (1000.0 * p_coll));
+    }
+  }
+}
+
+TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
+  const CollectionStats world_stats =
+      CollectionStats::Of(toppriv::testing::World().index);
+  // The World() statistics, plus degenerate collections: no length
+  // statistics (BM25's avgdl == 0 branch) and no tokens (LM-Dirichlet's
+  // inactive term).
+  const CollectionStats grid_stats[] = {
+      world_stats,
+      CollectionStats{world_stats.num_documents, 0.0, world_stats.total_tokens},
+      CollectionStats{7, 3.5, 0}};
+  const uint32_t dfs[] = {0, 1, 2, 7, 250, 500};
+  const uint32_t qtfs[] = {1, 2, 5};
+  // doc_length 0 is the UpperBound evaluation point.
+  const uint32_t doc_lengths[] = {0, 1, 3, 80, 1000};
+  const uint32_t tfs[] = {1, 2, 3, 17, 400};
+  for (int kind = 0; kind < 3; ++kind) {
+    std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
+    SCOPED_TRACE(scorer->Name());
+    for (const CollectionStats& stats : grid_stats) {
+      for (uint32_t df : dfs) {
+        for (uint32_t qtf : qtfs) {
+          // Prepared once, scored over every posting shape: what the
+          // evaluators do per query term.
+          const PreparedTerm term = scorer->PrepareTerm(stats, df, qtf);
+          for (uint32_t tf : tfs) {
+            EXPECT_EQ(scorer->UpperBound(stats, df, tf, qtf),
+                      ReferenceTermScore(kind, stats, 0, tf, df, qtf))
+                << "df " << df << " qtf " << qtf << " max_tf " << tf;
+            for (uint32_t dl : doc_lengths) {
+              const double want =
+                  ReferenceTermScore(kind, stats, dl, tf, df, qtf);
+              EXPECT_EQ(scorer->ScorePosting(term, dl, tf), want)
+                  << "df " << df << " qtf " << qtf << " dl " << dl << " tf "
+                  << tf;
+              EXPECT_EQ(scorer->TermScore(stats, dl, tf, df, qtf), want);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(ScorerTest, Names) {
@@ -264,17 +357,6 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
 }
 
 // ---------------------------------------------------- MaxScore vs TAAT --
-
-std::unique_ptr<Scorer> ScorerByKind(int which) {
-  switch (which) {
-    case 0:
-      return MakeBm25Scorer();
-    case 1:
-      return MakeTfIdfScorer();
-    default:
-      return std::make_unique<LmDirichletScorer>();
-  }
-}
 
 TEST(MaxScoreTest, UpperBoundDominatesEveryPostingScore) {
   // The safety premise of MaxScore pruning: for every term, the list-level

@@ -280,6 +280,34 @@ TEST(InferencerTest, OutOfVocabularyTermsIgnored) {
   EXPECT_EQ(base, with_oov);
 }
 
+TEST(InferencerTest, WorkspaceReuseIsBitIdentical) {
+  // One workspace over a long query, then a short one, then an all-OOV
+  // one, then the long one again: every result must equal a fresh
+  // workspace's, so no buffer (Phi columns, topic weights, counts, CDF)
+  // carries state from one call into the next.
+  const auto& world = World();
+  LdaInferencer inferencer(world.model);
+  const auto vocab = static_cast<text::TermId>(world.model.vocab_size());
+  std::vector<text::TermId> long_query;
+  for (const auto& q : world.workload) {
+    long_query.insert(long_query.end(), q.term_ids.begin(), q.term_ids.end());
+    if (long_query.size() >= 20) break;
+  }
+  long_query.resize(20);
+  const std::vector<std::vector<text::TermId>> queries = {
+      long_query,
+      {long_query[3], long_query[11]},
+      {vocab, vocab + 7, vocab + 1000},
+      long_query};
+  InferenceWorkspace reused;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    InferenceWorkspace fresh;
+    EXPECT_EQ(inferencer.InferQuery(queries[i], &reused),
+              inferencer.InferQuery(queries[i], &fresh))
+        << "query " << i;
+  }
+}
+
 TEST(InferencerTest, TopicalQueryConcentratesPosterior) {
   // A strongly topical query should lift a small number of topics far above
   // the prior; the bulk of topics should stay near it.
