@@ -232,6 +232,19 @@ uint64_t KernelWalGroupCommit(size_t num_threads) {
   return acked.load() + (*live)->Acquire()->num_documents();
 }
 
+/// The scorer of QueryEvaluation cell `cell` (0, 1: BM25; 2: TF-IDF;
+/// 3: LM-Dirichlet).
+std::unique_ptr<search::Scorer> QueryEvaluationScorer(int64_t cell) {
+  switch (cell) {
+    case 2:
+      return search::MakeTfIdfScorer();
+    case 3:
+      return std::make_unique<search::LmDirichletScorer>();
+    default:
+      return search::MakeBm25Scorer();
+  }
+}
+
 uint64_t KernelQueryEvaluation(search::SearchEngine& engine, size_t* qi) {
   const auto& world = World();
   const auto& q = world.workload[*qi % world.workload.size()];
@@ -377,21 +390,27 @@ void BM_WalGroupCommit(benchmark::State& state) {
 BENCHMARK(BM_WalGroupCommit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_QueryEvaluation(benchmark::State& state) {
-  // Arg 0: 0 = TAAT, 1 = MaxScore — the strategy comparison in one chart.
+  // Arg: the strategy comparison over BM25 (0 = TAAT, 1 = MaxScore) and the
+  // scorer axis under TAAT (2 = TF-IDF, 3 = LM-Dirichlet), whose
+  // per-document Normalize reads the evaluator's length table.
   const auto& world = World();
   search::SearchEngine engine(world.corpus, world.index,
-                              search::MakeBm25Scorer(),
-                              state.range(0) == 0
-                                  ? search::EvalStrategy::kTAAT
-                                  : search::EvalStrategy::kMaxScore);
+                              QueryEvaluationScorer(state.range(0)),
+                              state.range(0) == 1
+                                  ? search::EvalStrategy::kMaxScore
+                                  : search::EvalStrategy::kTAAT);
   size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(KernelQueryEvaluation(engine, &qi));
   }
+  state.SetLabel(engine.scorer().Name() + "/" +
+                 search::EvalStrategyName(engine.eval_strategy()));
 }
 BENCHMARK(BM_QueryEvaluation)
     ->Arg(0)
     ->Arg(1)
+    ->Arg(2)
+    ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
 
 void BM_MetricsCounter(benchmark::State& state) {
@@ -588,6 +607,14 @@ int main(int argc, char** argv) {
     size_t qi = 0;
     RunKernel("QueryEvaluation/maxscore", 2000,
               [&] { return KernelQueryEvaluation(engine, &qi); });
+  }
+  for (int64_t cell : {2, 3}) {
+    search::SearchEngine engine(world.corpus, world.index,
+                                QueryEvaluationScorer(cell));
+    size_t qi = 0;
+    RunKernel(cell == 2 ? "QueryEvaluation/taat_tfidf"
+                        : "QueryEvaluation/taat_lmdirichlet",
+              2000, [&] { return KernelQueryEvaluation(engine, &qi); });
   }
   RunKernel("MetricsCounter", 200, [] { return KernelMetricsCounter(); });
   {

@@ -50,12 +50,6 @@ std::optional<index::live::DurabilityPolicy> EnvDurability(const char* name) {
   return std::nullopt;
 }
 
-/// Version of everything that turns a corpus into a cached model besides
-/// the corpus itself: the Gibbs trainer, its seeding, and the LdaModel
-/// serialization format. Bump it with any change to those, so a cache
-/// written by the old code misses instead of silently loading.
-constexpr uint64_t kModelCacheVersion = 2;
-
 // FNV-1a over a byte string, for cache keys.
 uint64_t HashBytes(uint64_t h, const std::string& s) {
   for (unsigned char c : s) h = util::Fnv1aStep(h, c);
@@ -233,18 +227,16 @@ std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
                     config_.shard_threads);
 }
 
-std::string ExperimentFixture::CacheKey(size_t num_topics) const {
-  TOPPRIV_CHECK(corpus_ != nullptr);
-  // Keyed on what the trainer consumes (the token stream) and the code
-  // that consumes it (the version) rather than on generator parameters,
-  // so no parameter or generator change can reload a model trained on a
-  // different corpus: load time only checks the vocabulary size.
-  const std::string descriptor = util::StrFormat(
-      "v=%llu iters=%zu topics=%zu",
-      static_cast<unsigned long long>(kModelCacheVersion),
-      config_.lda_iterations, num_topics);
-  const uint64_t key = HashBytes(HashCorpus(*corpus_), descriptor);
-  return util::StrFormat("%s/lda%03zu_%016llx.bin", config_.cache_dir.c_str(),
+std::string ModelCachePath(const std::string& cache_dir,
+                           const corpus::Corpus& corpus,
+                           size_t lda_iterations, size_t num_topics,
+                           uint64_t version) {
+  const std::string descriptor =
+      util::StrFormat("v=%llu iters=%zu topics=%zu",
+                      static_cast<unsigned long long>(version),
+                      lda_iterations, num_topics);
+  const uint64_t key = HashBytes(HashCorpus(corpus), descriptor);
+  return util::StrFormat("%s/lda%03zu_%016llx.bin", cache_dir.c_str(),
                          num_topics, static_cast<unsigned long long>(key));
 }
 
@@ -253,7 +245,9 @@ const topicmodel::LdaModel& ExperimentFixture::model(size_t num_topics) {
   if (it != models_.end()) return *it->second;
 
   EnsureCorpus();
-  const std::string path = CacheKey(num_topics);
+  const std::string path =
+      ModelCachePath(config_.cache_dir, *corpus_, config_.lda_iterations,
+                     num_topics, kModelCacheVersion);
   if (util::FileExists(path)) {
     auto bytes = util::ReadFileToString(path);
     if (bytes.ok()) {

@@ -27,6 +27,7 @@
 #ifndef TOPPRIV_EXPERIMENTS_FIXTURE_H_
 #define TOPPRIV_EXPERIMENTS_FIXTURE_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
@@ -80,6 +81,24 @@ struct FixtureConfig {
 
 /// The six model sizes the paper evaluates (LDA050 .. LDA300).
 const std::vector<size_t>& PaperModelSizes();
+
+/// Version of everything that turns a corpus into a cached model besides
+/// the corpus itself: the Gibbs trainer, its seeding, and the LdaModel
+/// serialization format. Bump it with any change to those, so a cache
+/// written by the old code misses instead of silently loading.
+inline constexpr uint64_t kModelCacheVersion = 2;
+
+/// Where the model cache under `cache_dir` keeps the `num_topics`-topic
+/// model trained with `lda_iterations` sweeps over `corpus` by trainer code
+/// of `version`. Keyed on what the trainer consumes (the token stream) and
+/// the code that consumes it (the version) rather than on generator
+/// parameters, so no parameter or generator change can reload a model
+/// trained on a different corpus: load time only checks the vocabulary
+/// size. ExperimentFixture reads and writes at kModelCacheVersion.
+std::string ModelCachePath(const std::string& cache_dir,
+                           const corpus::Corpus& corpus,
+                           size_t lda_iterations, size_t num_topics,
+                           uint64_t version);
 
 /// An in-memory LiveIndex holding `corpus` as min(num_segments, N) sealed
 /// segments over the contiguous near-equal doc ranges [N*s/K, N*(s+1)/K)
@@ -149,7 +168,6 @@ class ExperimentFixture {
 
  private:
   void EnsureCorpus();
-  std::string CacheKey(size_t num_topics) const;
 
   FixtureConfig config_;
   std::unique_ptr<corpus::Corpus> corpus_;

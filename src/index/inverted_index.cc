@@ -36,16 +36,11 @@ InvertedIndex InvertedIndex::BuildRange(const corpus::Corpus& corpus,
       builders[term].Append(doc.id - begin, tf);
     }
     index.doc_lengths_.push_back(static_cast<uint32_t>(doc.tokens.size()));
-    index.total_tokens_ += doc.tokens.size();
   }
 
   index.lists_.reserve(num_terms);
   for (auto& b : builders) index.lists_.push_back(b.Build());
-  index.avg_doc_length_ =
-      index.doc_lengths_.empty()
-          ? 0.0
-          : static_cast<double>(index.total_tokens_) /
-                static_cast<double>(index.doc_lengths_.size());
+  index.DeriveLengthStats();
   return index;
 }
 
@@ -54,12 +49,7 @@ InvertedIndex InvertedIndex::FromParts(std::vector<PostingList> lists,
   InvertedIndex index;
   index.lists_ = std::move(lists);
   index.doc_lengths_ = std::move(doc_lengths);
-  for (uint32_t len : index.doc_lengths_) index.total_tokens_ += len;
-  index.avg_doc_length_ =
-      index.doc_lengths_.empty()
-          ? 0.0
-          : static_cast<double>(index.total_tokens_) /
-                static_cast<double>(index.doc_lengths_.size());
+  index.DeriveLengthStats();
   return index;
 }
 
@@ -72,9 +62,17 @@ uint32_t InvertedIndex::DocFreq(text::TermId term) const {
   return Postings(term).size();
 }
 
-uint32_t InvertedIndex::DocLength(corpus::DocId doc) const {
-  TOPPRIV_CHECK_LT(doc, doc_lengths_.size());
-  return doc_lengths_[doc];
+void InvertedIndex::DeriveLengthStats() {
+  total_tokens_ = 0;
+  max_doc_length_ = 0;
+  for (uint32_t len : doc_lengths_) {
+    total_tokens_ += len;
+    max_doc_length_ = std::max(max_doc_length_, len);
+  }
+  avg_doc_length_ = doc_lengths_.empty()
+                        ? 0.0
+                        : static_cast<double>(total_tokens_) /
+                              static_cast<double>(doc_lengths_.size());
 }
 
 IndexStats InvertedIndex::ComputeStats() const {
@@ -128,7 +126,6 @@ util::StatusOr<InvertedIndex> InvertedIndex::Deserialize(
       return util::Status::DataLoss("document length overflows u32");
     }
     index.doc_lengths_[i] = static_cast<uint32_t>(len);
-    index.total_tokens_ += len;
   }
   uint64_t num_terms = 0;
   TOPPRIV_RETURN_IF_ERROR(r.ReadVarint(&num_terms));
@@ -149,11 +146,7 @@ util::StatusOr<InvertedIndex> InvertedIndex::Deserialize(
     if (!list.ok()) return list.status();
     index.lists_.push_back(std::move(list).value());
   }
-  index.avg_doc_length_ =
-      index.doc_lengths_.empty()
-          ? 0.0
-          : static_cast<double>(index.total_tokens_) /
-                static_cast<double>(index.doc_lengths_.size());
+  index.DeriveLengthStats();
   return index;
 }
 

@@ -10,6 +10,7 @@
 #include "corpus/corpus.h"
 #include "index/posting_list.h"
 #include "text/vocabulary.h"
+#include "util/check.h"
 #include "util/status.h"
 
 namespace toppriv::index {
@@ -66,8 +67,15 @@ class InvertedIndex {
   /// Document frequency (list length) for a term.
   uint32_t DocFreq(text::TermId term) const;
 
-  /// Length in tokens of each document.
-  uint32_t DocLength(corpus::DocId doc) const;
+  /// Length in tokens of each document. Inline: the evaluation cores call
+  /// it once per posting.
+  uint32_t DocLength(corpus::DocId doc) const {
+    TOPPRIV_CHECK_LT(doc, doc_lengths_.size());
+    return doc_lengths_[doc];
+  }
+  /// The largest DocLength (0 for an empty index): evaluators size their
+  /// length-indexed scorer tables with it.
+  uint32_t max_doc_length() const { return max_doc_length_; }
   double avg_doc_length() const { return avg_doc_length_; }
   size_t num_documents() const { return doc_lengths_.size(); }
   size_t num_terms() const { return lists_.size(); }
@@ -81,10 +89,15 @@ class InvertedIndex {
   static util::StatusOr<InvertedIndex> Deserialize(const std::string& bytes);
 
  private:
+  /// Derives total_tokens_, avg_doc_length_ and max_doc_length_ from
+  /// doc_lengths_ (the one definition every construction path shares).
+  void DeriveLengthStats();
+
   std::vector<PostingList> lists_;
   std::vector<uint32_t> doc_lengths_;
   double avg_doc_length_ = 0.0;
   uint64_t total_tokens_ = 0;
+  uint32_t max_doc_length_ = 0;
   PostingList empty_list_;
 };
 

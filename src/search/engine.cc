@@ -59,14 +59,80 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms) {
   return query;
 }
 
-std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
-                                      const CollectionStats& stats,
-                                      const Scorer& scorer,
-                                      const std::vector<QueryTerm>& query,
-                                      const std::vector<uint32_t>& dfs,
-                                      size_t k, EvalScratch* scratch,
-                                      const std::vector<char>* exclude,
-                                      const util::Deadline* deadline) {
+/// The evaluation cores, each one template over the scorer's class. The
+/// public entry points below dispatch into them once per call through
+/// VisitScorer, so for a final built-in scorer every per-posting and
+/// per-document call inlines; a scorer defined elsewhere instantiates the
+/// same bodies over the base class. A friend of EvalScratch.
+class EvalKernel {
+ public:
+  /// Scorer::LengthPart for every length 0..index.max_doc_length(),
+  /// indexed by length. Served from `scratch` while its key matches
+  /// scorer.length_key(stats); otherwise rebuilt. Entries are a pure
+  /// function of (key, length), so growing a matching table for a longer
+  /// index only appends.
+  template <typename S>
+  static const double* LengthParts(const S& scorer,
+                                   const CollectionStats& stats,
+                                   const index::InvertedIndex& index,
+                                   EvalScratch* scratch) {
+    const LengthKey key = scorer.length_key(stats);
+    std::vector<double>& table = scratch->length_parts_;
+    if (!key.cacheable || !scratch->length_key_.cacheable ||
+        key.bits != scratch->length_key_.bits) {
+      table.clear();
+      scratch->length_key_ = key;
+    }
+    AppendLengthParts(scorer, stats, index.max_doc_length(), &table);
+    return table.data();
+  }
+
+  /// Extends `table` to cover every length up to `max_doc_length`.
+  template <typename S>
+  static void AppendLengthParts(const S& scorer, const CollectionStats& stats,
+                                uint32_t max_doc_length,
+                                std::vector<double>* table) {
+    for (size_t len = table->size(); len <= max_doc_length; ++len) {
+      table->push_back(scorer.LengthPart(stats, static_cast<uint32_t>(len)));
+    }
+  }
+
+  template <typename S>
+  static std::vector<ScoredDoc> Taat(const S& scorer,
+                                     const index::InvertedIndex& index,
+                                     const CollectionStats& stats,
+                                     const std::vector<QueryTerm>& query,
+                                     const std::vector<uint32_t>& dfs,
+                                     size_t k, EvalScratch* scratch,
+                                     const std::vector<char>* exclude,
+                                     const util::Deadline* deadline);
+
+  template <typename S>
+  static std::vector<ScoredDoc> MaxScore(const S& scorer,
+                                         const index::InvertedIndex& index,
+                                         const CollectionStats& stats,
+                                         const std::vector<QueryTerm>& query,
+                                         const std::vector<uint32_t>& dfs,
+                                         size_t k, EvalScratch* scratch,
+                                         const std::vector<double>* term_bounds,
+                                         const std::vector<char>* exclude,
+                                         const util::Deadline* deadline);
+
+  template <typename S>
+  static std::vector<double> ImpactBounds(
+      const S& scorer, const index::InvertedIndex& index,
+      const CollectionStats& stats, const std::vector<uint32_t>* global_dfs);
+};
+
+template <typename S>
+std::vector<ScoredDoc> EvalKernel::Taat(const S& scorer,
+                                        const index::InvertedIndex& index,
+                                        const CollectionStats& stats,
+                                        const std::vector<QueryTerm>& query,
+                                        const std::vector<uint32_t>& dfs,
+                                        size_t k, EvalScratch* scratch,
+                                        const std::vector<char>* exclude,
+                                        const util::Deadline* deadline) {
   TOPPRIV_CHECK_EQ(query.size(), dfs.size());
   if (query.empty() || k == 0) return {};
   // Hoisted so the common no-tombstone case (exclude == nullptr, every
@@ -76,6 +142,7 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
                  exclude->size() == index.num_documents());
 
   scratch->Prepare(index.num_documents());
+  const double* length_parts = LengthParts(scorer, stats, index, scratch);
 
   // Term-at-a-time accumulation over posting lists into the contiguous
   // per-document array; documents containing none of the query terms are
@@ -116,15 +183,16 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
           touched.push_back(doc);
           scores[doc] = 0.0;
         }
-        scores[doc] +=
-            scorer.ScorePosting(term, index.DocLength(doc), block.tfs[i]);
+        scores[doc] += scorer.ScorePosting(
+            term, length_parts[index.DocLength(doc)], block.tfs[i]);
       }
     }
   }
 
   TopK topk(k);
   for (corpus::DocId doc : touched) {
-    topk.Offer(doc, scorer.Normalize(stats, index.DocLength(doc), scores[doc]));
+    topk.Offer(doc, scorer.Normalize(length_parts[index.DocLength(doc)],
+                                     scores[doc]));
   }
   // Leave the scratch clean for the next query (O(touched), not O(docs)).
   for (corpus::DocId doc : touched) is_touched[doc] = 0;
@@ -237,10 +305,13 @@ inline void CursorAdvanceOne(TermCursor* c) {
 
 }  // namespace
 
-std::vector<double> ComputeTermImpactBounds(
-    const index::InvertedIndex& index, const CollectionStats& stats,
-    const Scorer& scorer, const std::vector<uint32_t>* global_dfs) {
+template <typename S>
+std::vector<double> EvalKernel::ImpactBounds(
+    const S& scorer, const index::InvertedIndex& index,
+    const CollectionStats& stats, const std::vector<uint32_t>* global_dfs) {
   std::vector<double> bounds(index.num_terms(), 0.0);
+  std::vector<double> length_parts;
+  AppendLengthParts(scorer, stats, index.max_doc_length(), &length_parts);
   index::PostingBlock block;
   for (text::TermId t = 0; t < bounds.size(); ++t) {
     const index::PostingList& list = index.Postings(t);
@@ -253,9 +324,10 @@ std::vector<double> ComputeTermImpactBounds(
     for (size_t b = 0; b < list.num_blocks(); ++b) {
       list.DecodeBlock(b, &block);
       for (uint32_t i = 0; i < block.count; ++i) {
-        best = std::max(best, scorer.ScorePosting(
-                                  term, index.DocLength(block.docs[i]),
-                                  block.tfs[i]));
+        best = std::max(
+            best, scorer.ScorePosting(
+                      term, length_parts[index.DocLength(block.docs[i])],
+                      block.tfs[i]));
       }
     }
     bounds[t] = best;
@@ -263,15 +335,13 @@ std::vector<double> ComputeTermImpactBounds(
   return bounds;
 }
 
-std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds,
-                                    const std::vector<char>* exclude,
-                                    const util::Deadline* deadline) {
+template <typename S>
+std::vector<ScoredDoc> EvalKernel::MaxScore(
+    const S& scorer, const index::InvertedIndex& index,
+    const CollectionStats& stats, const std::vector<QueryTerm>& query,
+    const std::vector<uint32_t>& dfs, size_t k, EvalScratch* scratch,
+    const std::vector<double>* term_bounds, const std::vector<char>* exclude,
+    const util::Deadline* deadline) {
   TOPPRIV_CHECK_EQ(query.size(), dfs.size());
   if (query.empty() || k == 0) return {};
   const char* excluded = exclude != nullptr ? exclude->data() : nullptr;
@@ -308,6 +378,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
     }
   }
   if (m == 0) return {};
+  const double* length_parts = LengthParts(scorer, stats, index, scratch);
 
   // Terms sorted by ascending bound: the classic MaxScore partition.
   // sorted_prefix[j] bounds the total score of a document containing ONLY
@@ -448,7 +519,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
     // other candidate's arithmetic (scores are per-document), which is the
     // MaxScore half of the live-index parity argument.
     const bool pivot_live = excluded == nullptr || !excluded[pivot];
-    const uint32_t doc_length = index.DocLength(pivot);
+    const double length_part = length_parts[index.DocLength(pivot)];
     double partial = 0.0;
     hits.clear();
     for (size_t x = 0; x < h; ++x) {
@@ -463,7 +534,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
       }
       if (!pivot_live) continue;
       const double v =
-          scorer.ScorePosting(c.term, doc_length, c.block.tfs[c.pos]);
+          scorer.ScorePosting(c.term, length_part, c.block.tfs[c.pos]);
       partial += v;
       contrib[ess[x]] = v;
       hits.push_back(ess[x]);
@@ -487,7 +558,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         TermCursor& c = cursors[i];
         if (CursorAdvanceTo(&c, pivot)) {
           const double v =
-              scorer.ScorePosting(c.term, doc_length, c.block.tfs[c.pos]);
+              scorer.ScorePosting(c.term, length_part, c.block.tfs[c.pos]);
           partial += v;
           contrib[i] = v;
           hits.push_back(static_cast<uint32_t>(i));
@@ -501,7 +572,7 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
         std::sort(hits.begin(), hits.end());
         double acc = 0.0;
         for (const uint32_t i : hits) acc += contrib[i];
-        topk.Offer(pivot, scorer.Normalize(stats, doc_length, acc));
+        topk.Offer(pivot, scorer.Normalize(length_part, acc));
         ++pivots_offered;
         raise_threshold();
       }
@@ -522,6 +593,42 @@ std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
   return topk.Finish();
 }
 
+std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
+                                      const CollectionStats& stats,
+                                      const Scorer& scorer,
+                                      const std::vector<QueryTerm>& query,
+                                      const std::vector<uint32_t>& dfs,
+                                      size_t k, EvalScratch* scratch,
+                                      const std::vector<char>* exclude,
+                                      const util::Deadline* deadline) {
+  return VisitScorer(scorer, [&](const auto& s) {
+    return EvalKernel::Taat(s, index, stats, query, dfs, k, scratch, exclude,
+                            deadline);
+  });
+}
+
+std::vector<double> ComputeTermImpactBounds(
+    const index::InvertedIndex& index, const CollectionStats& stats,
+    const Scorer& scorer, const std::vector<uint32_t>* global_dfs) {
+  return VisitScorer(scorer, [&](const auto& s) {
+    return EvalKernel::ImpactBounds(s, index, stats, global_dfs);
+  });
+}
+
+std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
+                                    const CollectionStats& stats,
+                                    const Scorer& scorer,
+                                    const std::vector<QueryTerm>& query,
+                                    const std::vector<uint32_t>& dfs,
+                                    size_t k, EvalScratch* scratch,
+                                    const std::vector<double>* term_bounds,
+                                    const std::vector<char>* exclude,
+                                    const util::Deadline* deadline) {
+  return VisitScorer(scorer, [&](const auto& s) {
+    return EvalKernel::MaxScore(s, index, stats, query, dfs, k, scratch,
+                                term_bounds, exclude, deadline);
+  });
+}
 
 std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
                                     const index::InvertedIndex& index,

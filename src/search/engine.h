@@ -66,12 +66,24 @@ struct TermCursor {
   index::PostingBlock block;
 };
 
+class EvalKernel;
+
 /// Reusable evaluation scratch: a contiguous score accumulator with one
 /// slot per document, plus the touched-document list that makes clearing
 /// O(touched) instead of O(num_documents). Reusing one scratch across
 /// queries removes the per-query hash-map allocation that used to dominate
 /// Evaluate. Not thread-safe: one scratch per thread (the engines keep a
 /// thread-local one).
+///
+/// The scratch also holds the scorer's per-document-length half
+/// (Scorer::LengthPart) tabulated by document length, so a posting costs a
+/// table read instead of BM25's length division and a touched document
+/// none of TF-IDF's sqrt or LM-Dirichlet's log. The table is keyed by value
+/// (Scorer::length_key: scorer kind, parameters, avg_doc_length bits),
+/// rebuilt only when the key changes and grown to each index's largest
+/// document length. Engines sharing a thread therefore share it with no
+/// per-engine cache and no invalidation hook: another scorer, or a live
+/// publish that moves avg_doc_length, simply misses the key.
 class EvalScratch {
  public:
   EvalScratch() = default;
@@ -79,23 +91,7 @@ class EvalScratch {
   EvalScratch& operator=(const EvalScratch&) = delete;
 
  private:
-  friend std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex&,
-                                               const CollectionStats&,
-                                               const Scorer&,
-                                               const std::vector<QueryTerm>&,
-                                               const std::vector<uint32_t>&,
-                                               size_t, EvalScratch*,
-                                               const std::vector<char>*,
-                                               const util::Deadline*);
-  friend std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex&,
-                                             const CollectionStats&,
-                                             const Scorer&,
-                                             const std::vector<QueryTerm>&,
-                                             const std::vector<uint32_t>&,
-                                             size_t, EvalScratch*,
-                                             const std::vector<double>*,
-                                             const std::vector<char>*,
-                                             const util::Deadline*);
+  friend class EvalKernel;
 
   /// Grows the accumulator to cover `num_documents` and resets any state a
   /// previous (possibly abandoned) query left behind.
@@ -105,6 +101,9 @@ class EvalScratch {
   std::vector<double> scores_;
   std::vector<char> is_touched_;
   std::vector<corpus::DocId> touched_;
+  // Scorer::LengthPart by document length, valid for length_key_.
+  std::vector<double> length_parts_;
+  LengthKey length_key_;
   // MaxScore state: per-term cursors (block buffers reused across queries),
   // the ub-sorted order with its bound prefix sums, and the per-candidate
   // contribution cache (probed in bound order, re-summed canonically).

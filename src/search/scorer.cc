@@ -1,10 +1,30 @@
 #include "search/scorer.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "util/check.h"
 
 namespace toppriv::search {
+
+namespace {
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+}  // namespace
+
+LengthKey Scorer::MakeLengthKey(double p0, double p1,
+                                const CollectionStats& stats) const {
+  LengthKey key;
+  key.cacheable = kind_ != Kind::kCustom;
+  key.bits = {static_cast<uint64_t>(kind_), Bits(p0), Bits(p1),
+              Bits(stats.avg_doc_length)};
+  return key;
+}
 
 PreparedTerm TfIdfCosineScorer::PrepareTerm(const CollectionStats& stats,
                                             uint32_t df, uint32_t qtf) const {
@@ -18,24 +38,6 @@ PreparedTerm TfIdfCosineScorer::PrepareTerm(const CollectionStats& stats,
   return term;
 }
 
-double TfIdfCosineScorer::ScorePosting(const PreparedTerm& term,
-                                       uint32_t doc_length,
-                                       uint32_t tf) const {
-  (void)doc_length;
-  if (!term.active) return 0.0;
-  double dtf = 1.0 + std::log(static_cast<double>(tf));
-  return dtf * term.term_weight;
-}
-
-double TfIdfCosineScorer::Normalize(const CollectionStats& stats,
-                                    uint32_t doc_length,
-                                    double accumulated) const {
-  (void)stats;
-  double len = static_cast<double>(doc_length);
-  if (len <= 0.0) return 0.0;
-  return accumulated / std::sqrt(len);
-}
-
 PreparedTerm Bm25Scorer::PrepareTerm(const CollectionStats& stats,
                                      uint32_t df, uint32_t qtf) const {
   PreparedTerm term;
@@ -45,24 +47,12 @@ PreparedTerm Bm25Scorer::PrepareTerm(const CollectionStats& stats,
   term.term_weight =
       std::log(1.0 + (n - static_cast<double>(df) + 0.5) /
                          (static_cast<double>(df) + 0.5));
-  term.avg_doc_length = stats.avg_doc_length;
   term.qtf = static_cast<double>(qtf);
   return term;
 }
 
-double Bm25Scorer::ScorePosting(const PreparedTerm& term, uint32_t doc_length,
-                                uint32_t tf) const {
-  if (!term.active) return 0.0;
-  double dl = static_cast<double>(doc_length);
-  double avgdl = term.avg_doc_length;
-  double denom =
-      static_cast<double>(tf) +
-      k1_ * (1.0 - b_ + b_ * (avgdl > 0.0 ? dl / avgdl : 1.0));
-  double tf_part = static_cast<double>(tf) * (k1_ + 1.0) / denom;
-  return term.term_weight * tf_part * term.qtf;
-}
-
-LmDirichletScorer::LmDirichletScorer(double mu) : mu_(mu) {
+LmDirichletScorer::LmDirichletScorer(double mu)
+    : Scorer(Kind::kLmDirichlet), mu_(mu) {
   TOPPRIV_CHECK_GT(mu, 0.0);
 }
 
@@ -78,28 +68,6 @@ PreparedTerm LmDirichletScorer::PrepareTerm(const CollectionStats& stats,
   term.term_weight = mu_ * p_coll;
   term.qtf = static_cast<double>(qtf);
   return term;
-}
-
-double LmDirichletScorer::ScorePosting(const PreparedTerm& term,
-                                       uint32_t doc_length,
-                                       uint32_t tf) const {
-  (void)doc_length;
-  if (!term.active) return 0.0;
-  // Rank-equivalent Dirichlet form: qtf * log(1 + tf / (mu * p(w|C))); the
-  // per-document log(mu / (mu + |d|)) factor is applied once in Normalize
-  // (a harmless simplification: it drops the |q| coefficient, which is
-  // constant within a query and only mildly re-weights the document-length
-  // prior).
-  return term.qtf *
-         std::log(1.0 + static_cast<double>(tf) / term.term_weight);
-}
-
-double LmDirichletScorer::Normalize(const CollectionStats& stats,
-                                    uint32_t doc_length,
-                                    double accumulated) const {
-  (void)stats;
-  double dl = static_cast<double>(doc_length);
-  return accumulated + std::log(mu_ / (dl + mu_));
 }
 
 std::unique_ptr<Scorer> MakeTfIdfScorer() {

@@ -1,6 +1,7 @@
 // Tests for the experiment fixture and sweep runners.
 #include <cstdlib>
 #include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -101,6 +102,26 @@ TEST(FixtureTest, ModelCacheMissesWhenTheCorpusChanges) {
   const std::string second_model = shared.model(12).Serialize();
   EXPECT_TRUE(second_model != first_model) << "loaded the stale model";
   EXPECT_TRUE(second_model == alone.model(12).Serialize());
+}
+
+TEST(FixtureTest, ModelCacheMissesAfterAVersionBump) {
+  // The fixture writes its model exactly where ModelCachePath puts it at
+  // kModelCacheVersion; bumping the version moves the path to one nothing
+  // has written, so code of the next version retrains instead of loading.
+  FixtureConfig config = TinyConfig();
+  config.cache_dir = ::testing::TempDir() + "/toppriv_fixture_cache_version";
+  std::filesystem::remove_all(config.cache_dir);
+  ExperimentFixture fixture(config);
+  fixture.model(12);
+  const std::string current =
+      ModelCachePath(config.cache_dir, fixture.corpus(), config.lda_iterations,
+                     12, kModelCacheVersion);
+  const std::string bumped =
+      ModelCachePath(config.cache_dir, fixture.corpus(), config.lda_iterations,
+                     12, kModelCacheVersion + 1);
+  EXPECT_TRUE(std::filesystem::exists(current)) << current;
+  EXPECT_NE(bumped, current);
+  EXPECT_FALSE(std::filesystem::exists(bumped)) << bumped;
 }
 
 TEST(RunnerTest, TopPrivCellProducesSaneMetrics) {

@@ -3,13 +3,17 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "index/live/live_index.h"
 #include "search/engine.h"
 #include "search/eval.h"
+#include "search/live_engine.h"
 #include "search/scorer.h"
 #include "search/topk.h"
 #include "tests/test_helpers.h"
@@ -123,7 +127,8 @@ TEST(ScorerTest, TfIdfNormalizationDividesBySqrtLength) {
   index::InvertedIndex index = index::InvertedIndex::Build(c);
   TfIdfCosineScorer scorer;
   // doc 2 has length 5.
-  EXPECT_NEAR(scorer.Normalize(CollectionStats::Of(index), index.DocLength(2),
+  EXPECT_NEAR(scorer.Normalize(scorer.LengthPart(CollectionStats::Of(index),
+                                                 index.DocLength(2)),
                                10.0),
               10.0 / std::sqrt(5.0), 1e-12);
 }
@@ -147,17 +152,20 @@ TEST(ScorerTest, LmDirichletPrefersMatchingDocs) {
 }
 
 // Independently written one-shot forms of the three scoring formulas. The
-// PrepareTerm + ScorePosting split must reproduce them bit for bit, so
-// hoisting per-term constants out of the posting loop cannot move a result.
+// PrepareTerm + LengthPart + ScorePosting split must reproduce them bit for
+// bit, so hoisting per-term and per-length constants out of the posting
+// loop cannot move a result. Kinds: 0 BM25 (1.2, 0.75), 1 TF-IDF,
+// 2 LM-Dirichlet (mu 1000), 3 BM25 (2.0, 0.5).
 double ReferenceTermScore(int kind, const CollectionStats& stats,
                           uint32_t doc_length, uint32_t tf, uint32_t df,
                           uint32_t qtf) {
   const double n = static_cast<double>(stats.num_documents);
   switch (kind) {
-    case 0: {  // BM25, k1 = 1.2, b = 0.75
+    case 0:
+    case 3: {
       if (df == 0) return 0.0;
-      const double k1 = 1.2;
-      const double b = 0.75;
+      const double k1 = kind == 0 ? 1.2 : 2.0;
+      const double b = kind == 0 ? 0.75 : 0.5;
       double idf = std::log(1.0 + (n - static_cast<double>(df) + 0.5) /
                                       (static_cast<double>(df) + 0.5));
       double dl = static_cast<double>(doc_length);
@@ -184,6 +192,26 @@ double ReferenceTermScore(int kind, const CollectionStats& stats,
   }
 }
 
+// One-shot per-document normalization of an accumulated score, for the
+// kinds of ReferenceTermScore.
+double ReferenceNormalize(int kind, uint32_t doc_length, double accumulated) {
+  const double len = static_cast<double>(doc_length);
+  switch (kind) {
+    case 1:
+      if (len <= 0.0) return 0.0;
+      return accumulated / std::sqrt(len);
+    case 2:
+      return accumulated + std::log(1000.0 / (len + 1000.0));
+    default:
+      return accumulated;
+  }
+}
+
+std::unique_ptr<Scorer> ReferenceScorer(int kind) {
+  if (kind == 3) return MakeBm25Scorer(2.0, 0.5);
+  return ScorerByKind(kind);
+}
+
 TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
   const CollectionStats world_stats =
       CollectionStats::Of(toppriv::testing::World().index);
@@ -199,10 +227,21 @@ TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
   // doc_length 0 is the UpperBound evaluation point.
   const uint32_t doc_lengths[] = {0, 1, 3, 80, 1000};
   const uint32_t tfs[] = {1, 2, 3, 17, 400};
-  for (int kind = 0; kind < 3; ++kind) {
-    std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
-    SCOPED_TRACE(scorer->Name());
+  const double accumulated[] = {0.0, 0.37, 5.25, 123.456};
+  for (int kind = 0; kind < 4; ++kind) {
+    std::unique_ptr<Scorer> scorer = ReferenceScorer(kind);
+    SCOPED_TRACE(scorer->Name() + " kind " + std::to_string(kind));
     for (const CollectionStats& stats : grid_stats) {
+      // The per-length half, computed once per length as the evaluators'
+      // tables do, and the per-document normalization it feeds.
+      for (uint32_t dl : doc_lengths) {
+        const double length_part = scorer->LengthPart(stats, dl);
+        for (double acc : accumulated) {
+          EXPECT_EQ(scorer->Normalize(length_part, acc),
+                    ReferenceNormalize(kind, dl, acc))
+              << "dl " << dl << " acc " << acc;
+        }
+      }
       for (uint32_t df : dfs) {
         for (uint32_t qtf : qtfs) {
           // Prepared once, scored over every posting shape: what the
@@ -215,7 +254,9 @@ TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
             for (uint32_t dl : doc_lengths) {
               const double want =
                   ReferenceTermScore(kind, stats, dl, tf, df, qtf);
-              EXPECT_EQ(scorer->ScorePosting(term, dl, tf), want)
+              EXPECT_EQ(
+                  scorer->ScorePosting(term, scorer->LengthPart(stats, dl), tf),
+                  want)
                   << "df " << df << " qtf " << qtf << " dl " << dl << " tf "
                   << tf;
               EXPECT_EQ(scorer->TermScore(stats, dl, tf, df, qtf), want);
@@ -225,6 +266,26 @@ TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
       }
     }
   }
+}
+
+TEST(ScorerTest, LengthKeyIsByValue) {
+  const CollectionStats stats =
+      CollectionStats::Of(toppriv::testing::World().index);
+  CollectionStats moved = stats;
+  moved.avg_doc_length = stats.avg_doc_length + 1.0;
+  const Bm25Scorer bm25;
+  const LengthKey key = bm25.length_key(stats);
+  EXPECT_TRUE(key.cacheable);
+  // Equal parameters and statistics: the same key, whichever object.
+  EXPECT_EQ(Bm25Scorer(1.2, 0.75).length_key(stats).bits, key.bits);
+  // Any parameter, the average length, or the scorer kind moves it.
+  EXPECT_NE(Bm25Scorer(2.0, 0.75).length_key(stats).bits, key.bits);
+  EXPECT_NE(Bm25Scorer(1.2, 0.5).length_key(stats).bits, key.bits);
+  EXPECT_NE(bm25.length_key(moved).bits, key.bits);
+  EXPECT_NE(LmDirichletScorer(1000.0).length_key(stats).bits,
+            LmDirichletScorer(500.0).length_key(stats).bits);
+  EXPECT_NE(TfIdfCosineScorer().length_key(stats).bits,
+            LmDirichletScorer().length_key(stats).bits);
 }
 
 TEST(ScorerTest, Names) {
@@ -315,7 +376,8 @@ std::vector<ScoredDoc> MapBasedEvaluate(const index::InvertedIndex& index,
   }
   TopK topk(k);
   for (const auto& [doc, acc] : accumulators) {
-    topk.Offer(doc, scorer.Normalize(stats, index.DocLength(doc), acc));
+    topk.Offer(doc, scorer.Normalize(
+                        scorer.LengthPart(stats, index.DocLength(doc)), acc));
   }
   return topk.Finish();
 }
@@ -481,6 +543,180 @@ TEST(EngineTest, EvaluateDoesNotLog) {
   SearchEngine engine(c, index, MakeBm25Scorer());
   engine.Evaluate({0}, 5);
   EXPECT_EQ(engine.query_log().size(), 0u);
+}
+
+// ----------------------------------------------------------- Eval kernel --
+
+void ExpectSameBits(const std::vector<ScoredDoc>& got,
+                    const std::vector<ScoredDoc>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
+  }
+}
+
+// Results of a static engine built fresh over `index` and run on a thread
+// of its own, so its scratch (and length table) has served nothing else.
+std::vector<std::vector<ScoredDoc>> FreshThreadResults(
+    const corpus::Corpus& corpus, const index::InvertedIndex& index,
+    std::unique_ptr<Scorer> scorer, EvalStrategy strategy,
+    const std::vector<std::vector<text::TermId>>& queries, size_t k) {
+  std::vector<std::vector<ScoredDoc>> results;
+  std::thread worker([&] {
+    const SearchEngine engine(corpus, index, std::move(scorer), strategy);
+    for (const auto& q : queries) results.push_back(engine.Evaluate(q, k));
+  });
+  worker.join();
+  return results;
+}
+
+std::vector<std::vector<text::TermId>> KernelQueries(size_t limit) {
+  std::vector<std::vector<text::TermId>> queries;
+  for (const auto& q : toppriv::testing::World().workload) {
+    if (queries.size() == limit) break;
+    queries.push_back(q.term_ids);
+  }
+  return queries;
+}
+
+TEST(EvalKernelTest, EnginesSharingAThreadShareNoStaleLengthTable) {
+  // One thread's scratch serves engines with different BM25 parameters in
+  // turn; the by-value length key must rebuild the table at every switch.
+  const auto& world = toppriv::testing::World();
+  const auto queries = KernelQueries(20);
+  const size_t k = 10;
+  struct Config {
+    double k1;
+    double b;
+    EvalStrategy strategy;
+  };
+  const Config configs[] = {{1.2, 0.75, EvalStrategy::kTAAT},
+                            {2.0, 0.5, EvalStrategy::kTAAT},
+                            {2.0, 0.5, EvalStrategy::kMaxScore},
+                            {1.2, 0.75, EvalStrategy::kMaxScore}};
+  std::vector<std::unique_ptr<SearchEngine>> engines;
+  std::vector<std::vector<std::vector<ScoredDoc>>> want;
+  for (const Config& c : configs) {
+    engines.push_back(std::make_unique<SearchEngine>(
+        world.corpus, world.index, MakeBm25Scorer(c.k1, c.b), c.strategy));
+    want.push_back(FreshThreadResults(world.corpus, world.index,
+                                      MakeBm25Scorer(c.k1, c.b), c.strategy,
+                                      queries, k));
+  }
+  ASSERT_NE(want[0][0][0].score, want[1][0][0].score);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (size_t e = 0; e < engines.size(); ++e) {
+      SCOPED_TRACE(::testing::Message() << "query " << qi << " engine " << e);
+      ExpectSameBits(engines[e]->Evaluate(queries[qi], k), want[e][qi]);
+    }
+  }
+}
+
+TEST(EvalKernelTest, LiveEngineFollowsAvgDocLengthAcrossRefresh) {
+  // Ingesting long documents moves the live collection's avg_doc_length
+  // and its largest document length; the next evaluation on the same
+  // thread must miss the old table, not reuse it.
+  const auto& world = toppriv::testing::World();
+  const auto queries = KernelQueries(20);
+  const size_t k = 10;
+  const size_t vocab = world.corpus.vocabulary_size();
+  std::vector<std::vector<text::TermId>> docs;
+  for (size_t d = 0; d < 200; ++d) {
+    docs.push_back(world.corpus.documents()[d].tokens);
+  }
+  auto corpus_of = [&](const std::vector<std::vector<text::TermId>>& ds) {
+    corpus::Corpus c;
+    for (size_t t = 0; t < vocab; ++t) {
+      c.mutable_vocabulary().AddTerm("t" + std::to_string(t));
+    }
+    for (size_t d = 0; d < ds.size(); ++d) {
+      c.AddDocument("d" + std::to_string(d), ds[d]);
+    }
+    return c;
+  };
+
+  index::live::LiveIndex live;
+  live.EnsureTermSpace(vocab);
+  live.Ingest(docs);
+  const double avgdl_before = live.Refresh()->avg_doc_length();
+  const corpus::Corpus host = corpus_of({});
+  LiveSearchEngine engine(host, live, MakeBm25Scorer());
+  // A static engine over other statistics, interleaved on this thread.
+  SearchEngine other(world.corpus, world.index, MakeBm25Scorer());
+
+  for (int stage = 0; stage < 2; ++stage) {
+    if (stage == 1) {
+      std::vector<std::vector<text::TermId>> long_docs;
+      for (size_t d = 200; d < 240; ++d) {
+        std::vector<text::TermId> tokens;
+        for (int rep = 0; rep < 5; ++rep) {
+          const auto& t = world.corpus.documents()[d].tokens;
+          tokens.insert(tokens.end(), t.begin(), t.end());
+        }
+        long_docs.push_back(tokens);
+      }
+      live.Ingest(long_docs);
+      docs.insert(docs.end(), long_docs.begin(), long_docs.end());
+      EXPECT_GT(live.Refresh()->avg_doc_length(), avgdl_before);
+    }
+    const corpus::Corpus expected = corpus_of(docs);
+    const index::InvertedIndex static_index =
+        index::InvertedIndex::Build(expected);
+    const auto want =
+        FreshThreadResults(expected, static_index, MakeBm25Scorer(),
+                           EvalStrategy::kTAAT, queries, k);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << "stage " << stage << " query "
+                                        << qi);
+      ExpectSameBits(engine.Evaluate(queries[qi], k), want[qi]);
+      other.Evaluate(queries[qi], k);
+    }
+  }
+}
+
+// A scorer the kernel cannot see into: BM25 behind the base interface. The
+// evaluation cores serve it through their generic instantiation, with
+// virtual calls and a length table rebuilt on every use.
+class OpaqueBm25 : public Scorer {
+ public:
+  PreparedTerm PrepareTerm(const CollectionStats& stats, uint32_t df,
+                           uint32_t qtf) const override {
+    return inner_.PrepareTerm(stats, df, qtf);
+  }
+  double LengthPart(const CollectionStats& stats,
+                    uint32_t doc_length) const override {
+    return inner_.LengthPart(stats, doc_length);
+  }
+  double ScorePosting(const PreparedTerm& term, double length_part,
+                      uint32_t tf) const override {
+    return inner_.ScorePosting(term, length_part, tf);
+  }
+  std::string Name() const override { return "opaque-bm25"; }
+
+ private:
+  Bm25Scorer inner_;
+};
+
+TEST(EvalKernelTest, GenericInstantiationMatchesTheInlinedOne) {
+  const auto& world = toppriv::testing::World();
+  const auto queries = KernelQueries(40);
+  EXPECT_EQ(OpaqueBm25().kind(), Scorer::Kind::kCustom);
+  EXPECT_FALSE(OpaqueBm25().length_key(CollectionStats::Of(world.index))
+                   .cacheable);
+  for (EvalStrategy strategy :
+       {EvalStrategy::kTAAT, EvalStrategy::kMaxScore}) {
+    SearchEngine inlined(world.corpus, world.index, MakeBm25Scorer(),
+                         strategy);
+    SearchEngine generic(world.corpus, world.index,
+                         std::make_unique<OpaqueBm25>(), strategy);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message()
+                   << EvalStrategyName(strategy) << " query " << qi);
+      ExpectSameBits(generic.Evaluate(queries[qi], 10),
+                     inlined.Evaluate(queries[qi], 10));
+    }
+  }
 }
 
 // ------------------------------------------------------------------- Eval --
