@@ -1,7 +1,7 @@
 // Microbenchmarks for the hot paths: index construction, posting-list
-// decoding (iterator and block-batch), query evaluation under both
-// strategies (TAAT and MaxScore), live-index ingest (docs/s vs batch
-// size), segment merging, LDA query inference and ghost generation.
+// decoding (iterator and block-batch), term-at-a-time query evaluation
+// under each scorer, live-index ingest (docs/s vs batch size), segment
+// merging, LDA query inference and ghost generation.
 // Complements the figure-level benches with per-operation numbers (the
 // paper's Figs. 2d/3d report end-to-end generation time; these break it
 // down).
@@ -232,7 +232,7 @@ uint64_t KernelWalGroupCommit(size_t num_threads) {
   return acked.load() + (*live)->Acquire()->num_documents();
 }
 
-/// The scorer of QueryEvaluation cell `cell` (0, 1: BM25; 2: TF-IDF;
+/// The scorer of QueryEvaluation cell `cell` (0: BM25; 2: TF-IDF;
 /// 3: LM-Dirichlet).
 std::unique_ptr<search::Scorer> QueryEvaluationScorer(int64_t cell) {
   switch (cell) {
@@ -270,8 +270,8 @@ uint64_t KernelMetricsCounter() {
 uint64_t KernelInstrumentedQuery(search::SearchEngine& engine, size_t* qi) {
   // KernelQueryEvaluation plus the full per-query instrumentation set a
   // serving cycle attaches: one trace span and one latency histogram
-  // observation. Compare against QueryEvaluation/maxscore — the delta is
-  // what the <5% bench_compare gate bounds.
+  // observation. Compare against QueryEvaluation/0 (same engine, same
+  // queries) — the delta is what the <5% bench_compare gate bounds.
   TOPPRIV_TRACE_SPAN(span, "bench.query");
   TOPPRIV_SCOPED_TIMER_US("bench.query_latency_us");
   return KernelQueryEvaluation(engine, qi);
@@ -390,25 +390,21 @@ void BM_WalGroupCommit(benchmark::State& state) {
 BENCHMARK(BM_WalGroupCommit)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 void BM_QueryEvaluation(benchmark::State& state) {
-  // Arg: the strategy comparison over BM25 (0 = TAAT, 1 = MaxScore) and the
-  // scorer axis under TAAT (2 = TF-IDF, 3 = LM-Dirichlet), whose
-  // per-document Normalize reads the evaluator's length table.
+  // Arg: the scorer (0 = BM25, 2 = TF-IDF, 3 = LM-Dirichlet; TF-IDF's and
+  // LM-Dirichlet's per-document Normalize reads the evaluator's length
+  // table). The args keep their historical numbers (there is no 1) so each
+  // cell's history stays continuous.
   const auto& world = World();
   search::SearchEngine engine(world.corpus, world.index,
-                              QueryEvaluationScorer(state.range(0)),
-                              state.range(0) == 1
-                                  ? search::EvalStrategy::kMaxScore
-                                  : search::EvalStrategy::kTAAT);
+                              QueryEvaluationScorer(state.range(0)));
   size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(KernelQueryEvaluation(engine, &qi));
   }
-  state.SetLabel(engine.scorer().Name() + "/" +
-                 search::EvalStrategyName(engine.eval_strategy()));
+  state.SetLabel(engine.scorer().Name());
 }
 BENCHMARK(BM_QueryEvaluation)
     ->Arg(0)
-    ->Arg(1)
     ->Arg(2)
     ->Arg(3)
     ->Unit(benchmark::kMicrosecond);
@@ -426,8 +422,7 @@ BENCHMARK(BM_MetricsCounter)->Unit(benchmark::kMicrosecond);
 void BM_InstrumentedQuery(benchmark::State& state) {
   const auto& world = World();
   search::SearchEngine engine(world.corpus, world.index,
-                              search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore);
+                              search::MakeBm25Scorer());
   size_t qi = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(KernelInstrumentedQuery(engine, &qi));
@@ -600,14 +595,6 @@ int main(int argc, char** argv) {
     RunKernel("QueryEvaluation/taat", 2000,
               [&] { return KernelQueryEvaluation(engine, &qi); });
   }
-  {
-    search::SearchEngine engine(world.corpus, world.index,
-                                search::MakeBm25Scorer(),
-                                search::EvalStrategy::kMaxScore);
-    size_t qi = 0;
-    RunKernel("QueryEvaluation/maxscore", 2000,
-              [&] { return KernelQueryEvaluation(engine, &qi); });
-  }
   for (int64_t cell : {2, 3}) {
     search::SearchEngine engine(world.corpus, world.index,
                                 QueryEvaluationScorer(cell));
@@ -619,8 +606,7 @@ int main(int argc, char** argv) {
   RunKernel("MetricsCounter", 200, [] { return KernelMetricsCounter(); });
   {
     search::SearchEngine engine(world.corpus, world.index,
-                                search::MakeBm25Scorer(),
-                                search::EvalStrategy::kMaxScore);
+                                search::MakeBm25Scorer());
     size_t qi = 0;
     RunKernel("InstrumentedQuery", 2000,
               [&] { return KernelInstrumentedQuery(engine, &qi); });

@@ -61,9 +61,8 @@ struct FixtureConfig {
   /// sequential scatter on the caller's thread; 0 = hardware concurrency).
   /// The pool must be distinct from any pool whose workers issue queries.
   size_t shard_threads = 1;
-  /// Query evaluation strategy MakeEngine wires into the engine
-  /// (TOPPRIV_EVAL_STRATEGY: "taat" or "maxscore"). Results are
-  /// bit-identical either way; this sweeps performance only.
+  /// Always kTAAT; nothing reads it. Kept only for perfbench/, which sets
+  /// it; remove in the next benchmark PR.
   search::EvalStrategy eval_strategy = search::EvalStrategy::kTAAT;
   /// Fraction of the corpus a MakeLiveIndex live index ingests up-front
   /// (TOPPRIV_LIVE_INGEST, clamped to [0, 1]); the remainder is streamed
@@ -150,11 +149,11 @@ class ExperimentFixture {
   /// `shard_threads` workers (1 = sequential scatter; 0 = hardware
   /// concurrency). The engine borrows fixture state, so the fixture must
   /// outlive it.
-  /// `strategy` overrides the config's evaluation strategy when set. Every
-  /// figure bench that takes its engine from here runs sharded by setting
-  /// TOPPRIV_SHARDS (and MaxScore by setting TOPPRIV_EVAL_STRATEGY) —
-  /// results are identical by the parity contract, so the figures are
-  /// architecture-independent.
+  /// Every figure bench that takes its engine from here runs sharded by
+  /// setting TOPPRIV_SHARDS — results are identical by the parity
+  /// contract, so the figures are architecture-independent. `strategy` is
+  /// ignored (TAAT is the only evaluator); kept only for perfbench/, which
+  /// passes it; remove in the next benchmark PR.
   std::unique_ptr<search::QueryEngine> MakeEngine(
       std::unique_ptr<search::Scorer> scorer, size_t num_shards,
       size_t shard_threads = 1,

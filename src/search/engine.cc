@@ -1,32 +1,11 @@
 #include "search/engine.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
 #include "util/check.h"
 #include "util/metrics.h"
 
 namespace toppriv::search {
-
-const char* EvalStrategyName(EvalStrategy strategy) {
-  switch (strategy) {
-    case EvalStrategy::kTAAT:
-      return "taat";
-    case EvalStrategy::kMaxScore:
-      return "maxscore";
-  }
-  return "unknown";
-}
-
-EvalStrategy EvalStrategyFromEnv() {
-  const char* v = std::getenv("TOPPRIV_EVAL_STRATEGY");
-  if (v != nullptr && std::strcmp(v, "maxscore") == 0) {
-    return EvalStrategy::kMaxScore;
-  }
-  return EvalStrategy::kTAAT;
-}
 
 void EvalScratch::Prepare(size_t num_documents) {
   if (scores_.size() < num_documents) {
@@ -59,11 +38,11 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms) {
   return query;
 }
 
-/// The evaluation cores, each one template over the scorer's class. The
-/// public entry points below dispatch into them once per call through
-/// VisitScorer, so for a final built-in scorer every per-posting and
-/// per-document call inlines; a scorer defined elsewhere instantiates the
-/// same bodies over the base class. A friend of EvalScratch.
+/// The evaluation core, a template over the scorer's class. AccumulateTopK
+/// dispatches into it once per call through VisitScorer, so for a final
+/// built-in scorer every per-posting and per-document call inlines; a
+/// scorer defined elsewhere instantiates the same body over the base
+/// class. A friend of EvalScratch.
 class EvalKernel {
  public:
   /// Scorer::LengthPart for every length 0..index.max_doc_length(),
@@ -83,18 +62,10 @@ class EvalKernel {
       table.clear();
       scratch->length_key_ = key;
     }
-    AppendLengthParts(scorer, stats, index.max_doc_length(), &table);
-    return table.data();
-  }
-
-  /// Extends `table` to cover every length up to `max_doc_length`.
-  template <typename S>
-  static void AppendLengthParts(const S& scorer, const CollectionStats& stats,
-                                uint32_t max_doc_length,
-                                std::vector<double>* table) {
-    for (size_t len = table->size(); len <= max_doc_length; ++len) {
-      table->push_back(scorer.LengthPart(stats, static_cast<uint32_t>(len)));
+    for (size_t len = table.size(); len <= index.max_doc_length(); ++len) {
+      table.push_back(scorer.LengthPart(stats, static_cast<uint32_t>(len)));
     }
+    return table.data();
   }
 
   template <typename S>
@@ -106,22 +77,6 @@ class EvalKernel {
                                      size_t k, EvalScratch* scratch,
                                      const std::vector<char>* exclude,
                                      const util::Deadline* deadline);
-
-  template <typename S>
-  static std::vector<ScoredDoc> MaxScore(const S& scorer,
-                                         const index::InvertedIndex& index,
-                                         const CollectionStats& stats,
-                                         const std::vector<QueryTerm>& query,
-                                         const std::vector<uint32_t>& dfs,
-                                         size_t k, EvalScratch* scratch,
-                                         const std::vector<double>* term_bounds,
-                                         const std::vector<char>* exclude,
-                                         const util::Deadline* deadline);
-
-  template <typename S>
-  static std::vector<double> ImpactBounds(
-      const S& scorer, const index::InvertedIndex& index,
-      const CollectionStats& stats, const std::vector<uint32_t>* global_dfs);
 };
 
 template <typename S>
@@ -202,397 +157,6 @@ std::vector<ScoredDoc> EvalKernel::Taat(const S& scorer,
   return topk.Finish();
 }
 
-namespace {
-
-/// Inflates a non-negative bound by a relative margin that dwarfs any
-/// floating-point association error a bounds sum can accumulate (queries
-/// have a handful of terms; the error is a few ULPs, the margin is 1e-9
-/// relative). Pruning compares INFLATED bounds strictly below the
-/// threshold, so no rounding-order difference between "sum of bounds" and
-/// "sum of actual contributions" can ever prune a document whose true
-/// score reaches the threshold — the engineering half of the bit-parity
-/// argument (the analytic half is monotone rounding).
-inline double InflateBound(double bound) {
-  return bound + bound * 1e-9;
-}
-
-/// Advances `c` to the first posting with doc id >= target. Returns true
-/// and leaves the tf available iff the term contains `target`. Blocks are
-/// skipped through the directory (last_doc) without decoding; a block is
-/// only decoded when `target` can actually fall inside it. The cached
-/// `doc` field makes the common miss (cursor already past the target) one
-/// compare.
-inline bool CursorAdvanceTo(TermCursor* c, corpus::DocId target) {
-  if (c->exhausted) return false;
-  if (c->doc > target) return false;
-  const index::PostingList& list = *c->list;
-  if (c->doc == target) {
-    if (!c->block_decoded) {
-      // Sitting at an undecoded block whose first doc IS the target:
-      // decode for the tf.
-      list.DecodeBlock(c->block_idx, &c->block);
-      c->block_decoded = true;
-      c->pos = 0;
-    }
-    return true;
-  }
-  if (c->block_decoded && list.block(c->block_idx).last_doc >= target) {
-    // Stays inside the decoded block: forward scan.
-    while (c->block.docs[c->pos] < target) {
-      ++c->pos;
-      TOPPRIV_DCHECK(c->pos < c->block.count);
-    }
-    c->doc = c->block.docs[c->pos];
-    return c->doc == target;
-  }
-  // Skip whole blocks that end before the target — no decoding.
-  if (c->block_decoded) {
-    ++c->block_idx;
-    c->block_decoded = false;
-    c->pos = 0;
-    if (c->block_idx >= list.num_blocks()) {
-      c->exhausted = true;
-      return false;
-    }
-  }
-  while (list.block(c->block_idx).last_doc < target) {
-    ++c->block_idx;
-    if (c->block_idx >= list.num_blocks()) {
-      c->exhausted = true;
-      return false;
-    }
-  }
-  const index::PostingList::BlockInfo& info = list.block(c->block_idx);
-  if (info.first_doc >= target) {
-    // The target is at or before this block's first posting: no decode
-    // needed unless it is an exact hit.
-    c->doc = info.first_doc;
-    if (info.first_doc > target) return false;
-    list.DecodeBlock(c->block_idx, &c->block);
-    c->block_decoded = true;
-    c->pos = 0;
-    return true;
-  }
-  list.DecodeBlock(c->block_idx, &c->block);
-  c->block_decoded = true;
-  c->pos = 0;
-  while (c->block.docs[c->pos] < target) {
-    ++c->pos;
-    TOPPRIV_DCHECK(c->pos < c->block.count);
-  }
-  c->doc = c->block.docs[c->pos];
-  return c->doc == target;
-}
-
-/// Steps past the current posting (used after a candidate is processed;
-/// the cursor is decoded and positioned on it).
-inline void CursorAdvanceOne(TermCursor* c) {
-  TOPPRIV_DCHECK(c->block_decoded && !c->exhausted);
-  ++c->pos;
-  if (c->pos < c->block.count) {
-    c->doc = c->block.docs[c->pos];
-    return;
-  }
-  ++c->block_idx;
-  c->block_decoded = false;
-  c->pos = 0;
-  if (c->block_idx >= c->list->num_blocks()) {
-    c->exhausted = true;
-    return;
-  }
-  c->doc = c->list->block(c->block_idx).first_doc;
-}
-
-}  // namespace
-
-template <typename S>
-std::vector<double> EvalKernel::ImpactBounds(
-    const S& scorer, const index::InvertedIndex& index,
-    const CollectionStats& stats, const std::vector<uint32_t>* global_dfs) {
-  std::vector<double> bounds(index.num_terms(), 0.0);
-  std::vector<double> length_parts;
-  AppendLengthParts(scorer, stats, index.max_doc_length(), &length_parts);
-  index::PostingBlock block;
-  for (text::TermId t = 0; t < bounds.size(); ++t) {
-    const index::PostingList& list = index.Postings(t);
-    if (list.empty()) continue;
-    const uint32_t df = global_dfs != nullptr
-                            ? (t < global_dfs->size() ? (*global_dfs)[t] : 0)
-                            : list.size();
-    const PreparedTerm term = scorer.PrepareTerm(stats, df, /*qtf=*/1);
-    double best = 0.0;
-    for (size_t b = 0; b < list.num_blocks(); ++b) {
-      list.DecodeBlock(b, &block);
-      for (uint32_t i = 0; i < block.count; ++i) {
-        best = std::max(
-            best, scorer.ScorePosting(
-                      term, length_parts[index.DocLength(block.docs[i])],
-                      block.tfs[i]));
-      }
-    }
-    bounds[t] = best;
-  }
-  return bounds;
-}
-
-template <typename S>
-std::vector<ScoredDoc> EvalKernel::MaxScore(
-    const S& scorer, const index::InvertedIndex& index,
-    const CollectionStats& stats, const std::vector<QueryTerm>& query,
-    const std::vector<uint32_t>& dfs, size_t k, EvalScratch* scratch,
-    const std::vector<double>* term_bounds, const std::vector<char>* exclude,
-    const util::Deadline* deadline) {
-  TOPPRIV_CHECK_EQ(query.size(), dfs.size());
-  if (query.empty() || k == 0) return {};
-  const char* excluded = exclude != nullptr ? exclude->data() : nullptr;
-  TOPPRIV_DCHECK(exclude == nullptr ||
-                 exclude->size() == index.num_documents());
-
-  // Active terms, in canonical (CollapseQuery) order, with per-term score
-  // bounds. The same skip rule as TAAT: an empty list or a zero global df
-  // contributes nothing and must not generate candidates. Cursors live in
-  // the scratch so their ~1.5 KiB block buffers are reused, not re-copied,
-  // across queries.
-  std::vector<TermCursor>& cursors = scratch->cursors_;
-  if (cursors.size() < query.size()) cursors.resize(query.size());
-  size_t m = 0;
-  for (size_t qi = 0; qi < query.size(); ++qi) {
-    const index::PostingList& list = index.Postings(query[qi].term);
-    if (list.empty() || dfs[qi] == 0) continue;
-    TermCursor& c = cursors[m++];
-    c.list = &list;
-    c.qi = qi;
-    c.block_idx = 0;
-    c.pos = 0;
-    c.block_decoded = false;
-    c.exhausted = false;
-    c.doc = list.block(0).first_doc;
-    c.term = scorer.PrepareTerm(stats, dfs[qi], query[qi].qtf);
-    if (term_bounds != nullptr) {
-      // Exact max impact at qtf = 1, scaled by qtf. The scaling reorders
-      // the multiplication relative to ScorePosting's own, so the inflation
-      // margin (applied at every use site) is what keeps it a true bound.
-      c.ub = static_cast<double>(query[qi].qtf) * (*term_bounds)[query[qi].term];
-    } else {
-      c.ub = scorer.UpperBound(stats, dfs[qi], list.max_tf(), query[qi].qtf);
-    }
-  }
-  if (m == 0) return {};
-  const double* length_parts = LengthParts(scorer, stats, index, scratch);
-
-  // Terms sorted by ascending bound: the classic MaxScore partition.
-  // sorted_prefix[j] bounds the total score of a document containing ONLY
-  // the j cheapest terms; once it falls strictly below the heap threshold
-  // those terms stop generating candidates ("non-essential"). The same
-  // array is the remaining-terms bound of the bound-descending probe loop.
-  std::vector<size_t>& order = scratch->ub_order_;
-  order.resize(m);
-  for (size_t i = 0; i < m; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (cursors[a].ub != cursors[b].ub) return cursors[a].ub < cursors[b].ub;
-    return a < b;  // deterministic tie-break on canonical position
-  });
-  std::vector<double>& sorted_prefix = scratch->sorted_prefix_ub_;
-  sorted_prefix.assign(m + 1, 0.0);
-  for (size_t j = 0; j < m; ++j) {
-    sorted_prefix[j + 1] =
-        InflateBound(sorted_prefix[j] + cursors[order[j]].ub);
-  }
-
-  // The essential cursors, kept sorted by current doc id: the pivot is
-  // always ess.front(), and the essential terms CONTAINING the pivot are
-  // exactly the leading run with that doc id — so per candidate there is
-  // no pivot scan and no probing of essential misses at all.
-  std::vector<uint32_t>& ess = scratch->essential_;
-  ess.clear();
-  // One comparator for every ess ordering operation: (doc asc, canonical
-  // index asc). Keeping a single definition is part of the determinism
-  // story — the pivot order must never depend on which call site sorted.
-  auto by_doc = [&](uint32_t a, uint32_t b) {
-    if (cursors[a].doc != cursors[b].doc) {
-      return cursors[a].doc < cursors[b].doc;
-    }
-    return a < b;
-  };
-
-  // Per-candidate contribution cache: probed in bound order (fastest
-  // abandon), re-summed in canonical order for survivors (bit parity).
-  std::vector<double>& contrib = scratch->contrib_;
-  if (contrib.size() < m) contrib.resize(m);
-  // Canonical indices of the terms containing the current candidate.
-  std::vector<uint32_t>& hits = scratch->hits_;
-
-  TopK topk(k);
-  size_t ne = 0;  // terms order[0..ne) are non-essential
-  double threshold = -std::numeric_limits<double>::infinity();
-
-  // Pruning telemetry, accumulated locally and flushed once per call (the
-  // prune rate is 1 - offered/considered). Reads nothing the evaluation
-  // depends on, writes nothing it reads.
-  uint64_t pivots_considered = 0;
-  uint64_t pivots_offered = 0;
-  uint64_t pivots_abandoned = 0;
-  auto flush_metrics = [&]() {
-    TOPPRIV_COUNTER_ADD("search.maxscore.pivots_considered",
-                        pivots_considered);
-    TOPPRIV_COUNTER_ADD("search.maxscore.pivots_offered", pivots_offered);
-    TOPPRIV_COUNTER_ADD("search.maxscore.pivots_abandoned", pivots_abandoned);
-  };
-
-  // (Re)builds `ess` from order[ne..m), doc-sorted.
-  auto rebuild_ess = [&]() {
-    ess.clear();
-    for (size_t j = ne; j < m; ++j) {
-      if (!cursors[order[j]].exhausted) {
-        ess.push_back(static_cast<uint32_t>(order[j]));
-      }
-    }
-    std::sort(ess.begin(), ess.end(), by_doc);
-  };
-  rebuild_ess();
-
-  auto raise_threshold = [&]() {
-    if (!topk.AtCapacity()) return;
-    threshold = topk.Worst().score;
-    const size_t old_ne = ne;
-    while (ne < m && sorted_prefix[ne + 1] < threshold) ++ne;
-    if (ne != old_ne) rebuild_ess();
-  };
-
-  // Re-inserts the advanced leading `h` entries of `ess` into doc order
-  // (dropping exhausted ones). The array is tiny (< m entries), so simple
-  // erase + upper_bound insertion beats anything clever.
-  auto reposition_front = [&](size_t h) {
-    std::vector<uint32_t>& moved = scratch->moved_;
-    moved.clear();
-    for (size_t x = 0; x < h; ++x) {
-      if (!cursors[ess[x]].exhausted) moved.push_back(ess[x]);
-    }
-    ess.erase(ess.begin(), ess.begin() + h);
-    for (const uint32_t i : moved) {
-      ess.insert(std::upper_bound(ess.begin(), ess.end(), i, by_doc), i);
-    }
-  };
-
-  while (!ess.empty()) {
-    // Cooperative cancellation: one check per pivot iteration (each
-    // iteration decodes at most a handful of blocks). Same contract as
-    // AccumulateTopK — an expired query returns empty, never partial.
-    if (deadline != nullptr && deadline->Expired()) {
-      flush_metrics();
-      return {};
-    }
-    // When a single essential term remains, skip its blocks wholesale:
-    // every doc in a block is bounded by the block-max tf bound (capped by
-    // the term's own list bound) plus the whole non-essential budget, and
-    // no other essential list can resurrect a doc this cursor skips.
-    if (ess.size() == 1) {
-      TermCursor& e = cursors[ess[0]];
-      while (!e.exhausted && topk.AtCapacity()) {
-        const auto& info = e.list->block(e.block_idx);
-        const double block_ub =
-            std::min(e.ub, scorer.UpperBound(stats, dfs[e.qi], info.max_tf,
-                                             query[e.qi].qtf));
-        if (InflateBound(block_ub + sorted_prefix[ne]) >= threshold) break;
-        ++e.block_idx;
-        e.block_decoded = false;
-        e.pos = 0;
-        if (e.block_idx >= e.list->num_blocks()) {
-          e.exhausted = true;
-        } else {
-          e.doc = e.list->block(e.block_idx).first_doc;
-        }
-      }
-      if (e.exhausted) break;
-    }
-
-    // The pivot and the essential terms containing it drop out of the doc
-    // order: ess.front() is minimal, the leading run of equal doc ids is
-    // the hit set. Every pivot therefore scores at least one term.
-    const corpus::DocId pivot = cursors[ess[0]].doc;
-    ++pivots_considered;
-    size_t h = 1;
-    while (h < ess.size() && cursors[ess[h]].doc == pivot) ++h;
-
-    // A tombstoned pivot is never scored, probed, or offered — its
-    // essential cursors just step past it below. Skipping it changes no
-    // other candidate's arithmetic (scores are per-document), which is the
-    // MaxScore half of the live-index parity argument.
-    const bool pivot_live = excluded == nullptr || !excluded[pivot];
-    const double length_part = length_parts[index.DocLength(pivot)];
-    double partial = 0.0;
-    hits.clear();
-    for (size_t x = 0; x < h; ++x) {
-      TermCursor& c = cursors[ess[x]];
-      if (!c.block_decoded) {
-        // Sitting at an undecoded block whose first doc is the pivot.
-        // Decoded even for a tombstoned pivot: CursorAdvanceOne steps by
-        // decoded position.
-        c.list->DecodeBlock(c.block_idx, &c.block);
-        c.block_decoded = true;
-        c.pos = 0;
-      }
-      if (!pivot_live) continue;
-      const double v =
-          scorer.ScorePosting(c.term, length_part, c.block.tfs[c.pos]);
-      partial += v;
-      contrib[ess[x]] = v;
-      hits.push_back(ess[x]);
-    }
-
-    // Probe the non-essential terms in DESCENDING bound order, abandoning
-    // as soon as the remaining inflated bounds cannot reach the threshold.
-    // Essential misses are gone entirely (they are not in the leading
-    // run), which also tightens the first check to the pure non-essential
-    // budget. `partial` is a bound-order sum used only inside inflated
-    // comparisons, never as the score.
-    if (pivot_live) {
-      bool abandoned = false;
-      for (size_t j = ne; j-- > 0;) {
-        if (topk.AtCapacity() &&
-            InflateBound(partial + sorted_prefix[j + 1]) < threshold) {
-          abandoned = true;
-          break;
-        }
-        const size_t i = order[j];
-        TermCursor& c = cursors[i];
-        if (CursorAdvanceTo(&c, pivot)) {
-          const double v =
-              scorer.ScorePosting(c.term, length_part, c.block.tfs[c.pos]);
-          partial += v;
-          contrib[i] = v;
-          hits.push_back(static_cast<uint32_t>(i));
-        }
-      }
-      if (abandoned) {
-        ++pivots_abandoned;
-      } else {
-        // Canonical re-accumulation from the cache — the IDENTICAL
-        // floating-point sum TAAT computes for this document.
-        std::sort(hits.begin(), hits.end());
-        double acc = 0.0;
-        for (const uint32_t i : hits) acc += contrib[i];
-        topk.Offer(pivot, scorer.Normalize(length_part, acc));
-        ++pivots_offered;
-        raise_threshold();
-      }
-    }
-    // Step the essential hit cursors past the pivot and restore doc order;
-    // non-essential cursors catch up lazily on later probes. When
-    // raise_threshold rebuilt `ess`, some (or all) of the pivot's cursors
-    // may have left the essential set — only the ones still leading the
-    // array need stepping (a demoted cursor parked on the pivot is
-    // harmless: later probes walk straight past it).
-    if (ess.empty() || cursors[ess[0]].doc != pivot) continue;
-    size_t still = 1;
-    while (still < ess.size() && cursors[ess[still]].doc == pivot) ++still;
-    for (size_t x = 0; x < still; ++x) CursorAdvanceOne(&cursors[ess[x]]);
-    reposition_front(still);
-  }
-  flush_metrics();
-  return topk.Finish();
-}
-
 std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
                                       const CollectionStats& stats,
                                       const Scorer& scorer,
@@ -605,50 +169,6 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
     return EvalKernel::Taat(s, index, stats, query, dfs, k, scratch, exclude,
                             deadline);
   });
-}
-
-std::vector<double> ComputeTermImpactBounds(
-    const index::InvertedIndex& index, const CollectionStats& stats,
-    const Scorer& scorer, const std::vector<uint32_t>* global_dfs) {
-  return VisitScorer(scorer, [&](const auto& s) {
-    return EvalKernel::ImpactBounds(s, index, stats, global_dfs);
-  });
-}
-
-std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds,
-                                    const std::vector<char>* exclude,
-                                    const util::Deadline* deadline) {
-  return VisitScorer(scorer, [&](const auto& s) {
-    return EvalKernel::MaxScore(s, index, stats, query, dfs, k, scratch,
-                                term_bounds, exclude, deadline);
-  });
-}
-
-std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
-                                    const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds,
-                                    const std::vector<char>* exclude,
-                                    const util::Deadline* deadline) {
-  switch (strategy) {
-    case EvalStrategy::kMaxScore:
-      return MaxScoreTopK(index, stats, scorer, query, dfs, k, scratch,
-                          term_bounds, exclude, deadline);
-    case EvalStrategy::kTAAT:
-      break;
-  }
-  return AccumulateTopK(index, stats, scorer, query, dfs, k, scratch, exclude,
-                        deadline);
 }
 
 util::StatusOr<std::vector<ScoredDoc>> QueryEngine::EvaluateWithOptions(
@@ -671,31 +191,15 @@ util::StatusOr<std::vector<ScoredDoc>> QueryEngine::EvaluateWithOptions(
   return results;
 }
 
-namespace {
-
-/// The MaxScore impact-bound table a SearchEngine is built with (empty
-/// under TAAT, which never reads it).
-std::vector<double> BoundsFor(EvalStrategy strategy,
-                              const index::InvertedIndex& index,
-                              const CollectionStats& stats,
-                              const Scorer* scorer) {
-  TOPPRIV_CHECK(scorer != nullptr);
-  if (strategy != EvalStrategy::kMaxScore) return {};
-  return ComputeTermImpactBounds(index, stats, *scorer);
-}
-
-}  // namespace
-
 SearchEngine::SearchEngine(const corpus::Corpus& corpus,
                            const index::InvertedIndex& index,
-                           std::unique_ptr<Scorer> scorer,
-                           EvalStrategy strategy)
+                           std::unique_ptr<Scorer> scorer)
     : corpus_(corpus),
       index_(index),
       scorer_(std::move(scorer)),
-      stats_(CollectionStats::Of(index)),
-      strategy_(strategy),
-      term_bounds_(BoundsFor(strategy, index, stats_, scorer_.get())) {}
+      stats_(CollectionStats::Of(index)) {
+  TOPPRIV_CHECK(scorer_ != nullptr);
+}
 
 std::vector<ScoredDoc> SearchEngine::Search(
     const std::vector<text::TermId>& terms, size_t k, uint64_t cycle_id) {
@@ -734,11 +238,8 @@ std::vector<ScoredDoc> SearchEngine::EvaluateImpl(
     dfs[qi] = index_.DocFreq(query[qi].term);
   }
   static thread_local EvalScratch scratch;
-  return EvaluateTopK(strategy_, index_, stats_, *scorer_, query, dfs, k,
-                      &scratch,
-                      strategy_ == EvalStrategy::kMaxScore ? &term_bounds_
-                                                           : nullptr,
-                      /*exclude=*/nullptr, deadline);
+  return AccumulateTopK(index_, stats_, *scorer_, query, dfs, k, &scratch,
+                        /*exclude=*/nullptr, deadline);
 }
 
 }  // namespace toppriv::search

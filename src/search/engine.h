@@ -25,46 +25,10 @@ struct QueryTerm {
   uint32_t qtf = 0;
 };
 
-/// How a query is evaluated against an index. Both strategies return
-/// BIT-identical top-k lists (docs, scores, order) — the parity suites
-/// enforce it — so the choice is purely a performance knob:
-///  - kTAAT: term-at-a-time accumulation; touches every posting of every
-///    query term. Simple, branch-light, optimal for tiny indexes.
-///  - kMaxScore: document-at-a-time with per-term score upper bounds
-///    (Turtle & Flood): once the top-k heap fills, terms whose summed
-///    bounds cannot beat the k-th score stop generating candidates, docs
-///    are abandoned mid-scoring when the remaining bounds cannot rescue
-///    them, and whole 128-posting blocks are skipped via the block-max tf
-///    bounds. Wins when lists are long relative to k.
-enum class EvalStrategy { kTAAT, kMaxScore };
-
-/// "taat" / "maxscore" (for logs, benches, and the env knob).
-const char* EvalStrategyName(EvalStrategy strategy);
-
-/// Reads TOPPRIV_EVAL_STRATEGY ("taat", default, or "maxscore").
-EvalStrategy EvalStrategyFromEnv();
-
-/// Per-term document-at-a-time cursor (MaxScore path): a position in the
-/// term's block directory plus the batch-decoded current block. Lives in
-/// EvalScratch so the ~1.5 KiB block buffers are reused across queries.
-struct TermCursor {
-  const index::PostingList* list = nullptr;
-  /// Index into the canonical query order (for qtf/df lookups).
-  size_t qi = 0;
-  /// The term's per-query scoring constants (Scorer::PrepareTerm).
-  PreparedTerm term;
-  /// List-level score upper bound for this term.
-  double ub = 0.0;
-  /// Doc id at the current position, kept hot in the cursor so pivot scans
-  /// never chase list->block(...) pointers. For an undecoded block this is
-  /// its first_doc (exact — the cursor sits at the block start).
-  corpus::DocId doc = 0;
-  size_t block_idx = 0;
-  uint32_t pos = 0;
-  bool block_decoded = false;
-  bool exhausted = false;
-  index::PostingBlock block;
-};
+/// How a query is evaluated against an index: term-at-a-time accumulation
+/// (AccumulateTopK), the only evaluator. Kept only for perfbench/, which
+/// sets and reads it; remove in the next benchmark PR.
+enum class EvalStrategy { kTAAT };
 
 class EvalKernel;
 
@@ -97,23 +61,13 @@ class EvalScratch {
   /// previous (possibly abandoned) query left behind.
   void Prepare(size_t num_documents);
 
-  // TAAT state: contiguous accumulator + touched list.
+  // Contiguous accumulator + touched list.
   std::vector<double> scores_;
   std::vector<char> is_touched_;
   std::vector<corpus::DocId> touched_;
   // Scorer::LengthPart by document length, valid for length_key_.
   std::vector<double> length_parts_;
   LengthKey length_key_;
-  // MaxScore state: per-term cursors (block buffers reused across queries),
-  // the ub-sorted order with its bound prefix sums, and the per-candidate
-  // contribution cache (probed in bound order, re-summed canonically).
-  std::vector<TermCursor> cursors_;
-  std::vector<size_t> ub_order_;
-  std::vector<double> sorted_prefix_ub_;
-  std::vector<double> contrib_;
-  std::vector<uint32_t> essential_;
-  std::vector<uint32_t> hits_;
-  std::vector<uint32_t> moved_;
 };
 
 /// Collapses a bag of term ids to unique (term, qtf) pairs in ascending
@@ -123,12 +77,12 @@ class EvalScratch {
 /// order).
 std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms);
 
-/// The shared term-at-a-time evaluation core: accumulates `query` over
-/// `index`'s posting lists into `scratch`, scoring with the collection-wide
-/// `stats` and the per-term document frequencies `dfs` (parallel to
-/// `query`; the monolithic engine passes the index's own df, the segmented
-/// LiveSearchEngine passes the snapshot's GLOBAL df so every segment scores
-/// identically), then extracts the top `k`. Result doc ids are local to
+/// The term-at-a-time evaluation core every engine runs: accumulates
+/// `query` over `index`'s posting lists into `scratch`, scoring with the
+/// collection-wide `stats` and the per-term document frequencies `dfs`
+/// (parallel to `query`; the monolithic engine passes the index's own df,
+/// the segmented LiveSearchEngine passes the snapshot's GLOBAL df so every
+/// segment scores identically), then extracts the top `k`. Result doc ids are local to
 /// `index`; segmented callers lift them into the snapshot's dense id space
 /// before merging. Exposing this lets SearchEngine and LiveSearchEngine run
 /// literally the same arithmetic, which is what the bit-parity suites lock
@@ -159,65 +113,6 @@ std::vector<ScoredDoc> AccumulateTopK(const index::InvertedIndex& index,
                                           nullptr,
                                       const util::Deadline* deadline =
                                           nullptr);
-
-/// Exact per-term impact bounds: for each term, the maximum TermScore any
-/// of its postings can produce at qtf = 1 (one full walk of the index).
-/// Much tighter than the analytic Scorer::UpperBound (which must assume
-/// the worst doc length AND the list-max tf on the same posting), so the
-/// MaxScore partition turns more terms non-essential and abandons
-/// candidates earlier. Engines precompute this once per (index, scorer)
-/// when the MaxScore strategy is selected — the classic "max impact"
-/// metadata of impact-ordered indexes. `global_dfs`, when given, replaces
-/// each list's local document frequency (segments score with global df, so
-/// their bounds must too).
-std::vector<double> ComputeTermImpactBounds(
-    const index::InvertedIndex& index, const CollectionStats& stats,
-    const Scorer& scorer, const std::vector<uint32_t>* global_dfs = nullptr);
-
-/// Document-at-a-time MaxScore evaluation: same inputs, same outputs as
-/// AccumulateTopK — BIT-identical, because every document that survives
-/// pruning re-accumulates its cached per-term contributions in the
-/// identical canonical term order (CollapseQuery), and pruning is provably
-/// safe: per-term bounds dominate every posting's TermScore, bound sums
-/// carry a 1e-9 relative inflation so no floating-point association
-/// difference can prune a document within rounding distance of the
-/// threshold, and a document is only dropped when its inflated bound is
-/// STRICTLY below the current k-th score (a tie could still win on doc id,
-/// so ties are never pruned). `term_bounds` is the ComputeTermImpactBounds
-/// table (nullptr falls back to the analytic Scorer::UpperBound).
-/// `exclude` is the tombstone mask of AccumulateTopK: a masked pivot is
-/// never scored or offered (its cursors advance past it), and the bounds
-/// stay valid — they dominate every posting, masked ones included.
-/// `deadline` follows the AccumulateTopK contract (polled per pivot
-/// iteration here — every iteration decodes at most a handful of blocks —
-/// and an expired query returns empty, never partial).
-std::vector<ScoredDoc> MaxScoreTopK(const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr,
-                                    const std::vector<char>* exclude =
-                                        nullptr,
-                                    const util::Deadline* deadline =
-                                        nullptr);
-
-/// Strategy dispatch over the two cores above.
-std::vector<ScoredDoc> EvaluateTopK(EvalStrategy strategy,
-                                    const index::InvertedIndex& index,
-                                    const CollectionStats& stats,
-                                    const Scorer& scorer,
-                                    const std::vector<QueryTerm>& query,
-                                    const std::vector<uint32_t>& dfs,
-                                    size_t k, EvalScratch* scratch,
-                                    const std::vector<double>* term_bounds =
-                                        nullptr,
-                                    const std::vector<char>* exclude =
-                                        nullptr,
-                                    const util::Deadline* deadline =
-                                        nullptr);
 
 /// One entry in the engine-side query log: the adversary's view. Queries
 /// arrive as bags of term ids; the engine cannot tell user queries from
@@ -314,8 +209,9 @@ class QueryEngine {
   /// Scorer in use (for logs and benches).
   virtual const Scorer& scorer() const = 0;
 
-  /// Evaluation strategy in use (for logs and benches).
-  virtual EvalStrategy eval_strategy() const = 0;
+  /// Always kTAAT. Kept only for perfbench/, whose engine wrapper overrides
+  /// it; remove in the next benchmark PR.
+  virtual EvalStrategy eval_strategy() const { return EvalStrategy::kTAAT; }
 };
 
 /// Similarity search engine over a monolithic inverted index: the
@@ -326,12 +222,9 @@ class QueryEngine {
 /// PDX baseline, which requires a homomorphic scoring protocol).
 class SearchEngine : public QueryEngine {
  public:
-  /// The engine borrows the corpus and index; both must outlive it. The
-  /// strategy is fixed for the engine's lifetime; MaxScore builds its
-  /// impact-bound table here, once.
+  /// The engine borrows the corpus and index; both must outlive it.
   SearchEngine(const corpus::Corpus& corpus, const index::InvertedIndex& index,
-               std::unique_ptr<Scorer> scorer,
-               EvalStrategy strategy = EvalStrategy::kTAAT);
+               std::unique_ptr<Scorer> scorer);
 
   SearchEngine(const SearchEngine&) = delete;
   SearchEngine& operator=(const SearchEngine&) = delete;
@@ -353,7 +246,6 @@ class SearchEngine : public QueryEngine {
   const corpus::Corpus& corpus() const override { return corpus_; }
   const index::InvertedIndex& index() const { return index_; }
   const Scorer& scorer() const override { return *scorer_; }
-  EvalStrategy eval_strategy() const override { return strategy_; }
 
  private:
   /// Shared body of Evaluate and EvaluateWithOptions; `deadline` may be
@@ -366,10 +258,6 @@ class SearchEngine : public QueryEngine {
   const index::InvertedIndex& index_;
   const std::unique_ptr<Scorer> scorer_;
   const CollectionStats stats_;
-  const EvalStrategy strategy_;
-  /// ComputeTermImpactBounds table: built in the constructor under
-  /// MaxScore, empty under TAAT. Immutable, so readers need no lock.
-  const std::vector<double> term_bounds_;
   QueryLog log_;
 };
 

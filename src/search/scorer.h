@@ -114,10 +114,10 @@ class Scorer {
   }
 
   /// Optional per-document normalization applied after accumulation, given
-  /// the document's LengthPart. Contract (the MaxScore evaluator depends on
-  /// it): for a non-negative accumulated score, Normalize must never return
-  /// MORE than the accumulator — it may shrink a score (cosine length
-  /// division, the Dirichlet length prior), never inflate it.
+  /// the document's LengthPart: a pure function of (length_part,
+  /// accumulated), so every engine ranks a document by the same bits. The
+  /// built-in scorers only ever shrink a non-negative score (cosine length
+  /// division, the Dirichlet length prior).
   virtual double Normalize(double length_part, double accumulated) const {
     (void)length_part;
     return accumulated;
@@ -128,23 +128,6 @@ class Scorer {
   virtual LengthKey length_key(const CollectionStats& stats) const {
     (void)stats;
     return LengthKey{};
-  }
-
-  /// Upper bound on TermScore over every posting of a term: for all
-  /// doc_length and all tf <= max_tf,
-  ///   TermScore(stats, doc_length, tf, df, qtf) <= UpperBound(...).
-  /// The MaxScore evaluator partitions query terms and skips blocks with
-  /// these (list-level bounds use the list's max tf, block-level bounds the
-  /// block's). The default evaluates TermScore at tf = max_tf and
-  /// doc_length = 0, which is a bit-safe bound whenever TermScore is
-  /// non-decreasing in tf and non-increasing in doc_length through the
-  /// exact floating-point operations it performs — true of all three
-  /// scorers here (rounding is monotone, so the FP inequalities follow the
-  /// real ones). A scorer violating either monotonicity must override.
-  virtual double UpperBound(const CollectionStats& stats, uint32_t df,
-                            uint32_t max_tf, uint32_t qtf) const {
-    if (max_tf == 0) return 0.0;
-    return TermScore(stats, /*doc_length=*/0, max_tf, df, qtf);
   }
 
   /// Scorer name for logs and benches.

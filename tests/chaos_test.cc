@@ -132,8 +132,7 @@ TEST(ChaosEngineTest, AcceptedCallsAreBitIdenticalRejectionsAreTyped) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
-  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore);
+  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer());
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);
@@ -214,9 +213,8 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   search::SearchEngine mono(corpus, index, search::MakeBm25Scorer());
   // Three sealed segments fanned out on two workers: the sharded shape.
   search::LiveSearchEngine fanout(corpus, *segmented, search::MakeBm25Scorer(),
-                                  search::EvalStrategy::kTAAT, &fanout_pool);
-  search::LiveSearchEngine over_live(corpus, live, search::MakeBm25Scorer(),
-                                     search::EvalStrategy::kTAAT);
+                                  &fanout_pool);
+  search::LiveSearchEngine over_live(corpus, live, search::MakeBm25Scorer());
   ManualClock clock;
   Deadline dead = Deadline::After(0.001, &clock);
   clock.Advance(2'000'000);  // 2ms past a 1ms deadline: expired before work
@@ -244,7 +242,6 @@ TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
       experiments::BuildSegmentedIndex(corpus, 3);
   util::ThreadPool fanout_pool(2);
   search::LiveSearchEngine inner(corpus, *segmented, search::MakeBm25Scorer(),
-                                 search::EvalStrategy::kMaxScore,
                                  &fanout_pool);
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
@@ -523,8 +520,7 @@ TEST(ChaosSmoke, FixedScheduleDigestMatchesNoFaultReference) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
-  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer(),
-                             search::EvalStrategy::kMaxScore);
+  search::SearchEngine inner(corpus, index, search::MakeBm25Scorer());
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);

@@ -1,12 +1,12 @@
 // Golden digests: the exact bits the protected cycle's hot kernels produce
 // on fixed inputs — LDA fold-in inference, per-posting scoring under every
-// scorer, strategy and engine shape, and a fixed SessionDriver run. The
+// scorer and engine shape, and a fixed SessionDriver run. The
 // constants were recorded from the code as it stood BEFORE the inference
 // sampler and the per-posting scorer were optimised, and every later
 // change must reproduce them bit for bit.
 //
 // The other parity suites compare two runs of one binary (thread counts,
-// strategies, segment counts) against each other, so a reordered
+// segment counts) against each other, so a reordered
 // floating-point sum that moves every run alike passes them; a constant
 // does not move. A change that is MEANT to move results (a new sampler, a
 // different scorer formula, a trainer change that moves the World() model)
@@ -32,6 +32,7 @@
 #include "topicmodel/inference.h"
 #include "util/hash.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace toppriv {
 namespace {
@@ -116,8 +117,9 @@ uint64_t ResultDigest(const search::QueryEngine& engine,
 }
 
 TEST(EngineTest, GoldenResultDigest) {
-  // One constant per scorer: TAAT and MaxScore, over the monolithic
-  // SearchEngine and a 3-segment LiveSearchEngine, must all reproduce it.
+  // One constant per scorer: the monolithic SearchEngine and a 3-segment
+  // LiveSearchEngine, sequential and with a pooled fan-out, must all
+  // reproduce it.
   const uint64_t kGolden[3] = {0x2cc6f4fd8c72665aull,   // BM25
                                0x34a5f5807158f7ebull,   // TF-IDF
                                0x9fda4d34aaa3ffe4ull};  // LM-Dirichlet
@@ -141,23 +143,25 @@ TEST(EngineTest, GoldenResultDigest) {
   std::unique_ptr<index::live::LiveIndex> live =
       experiments::BuildSegmentedIndex(world.corpus, 3);
   ASSERT_EQ(live->num_segments(), 3u);
+  util::ThreadPool eval_pool(3);
 
   for (int kind = 0; kind < 3; ++kind) {
-    for (search::EvalStrategy strategy :
-         {search::EvalStrategy::kTAAT, search::EvalStrategy::kMaxScore}) {
-      SCOPED_TRACE(MakeScorer(kind)->Name() + "/" +
-                   search::EvalStrategyName(strategy));
-      const search::SearchEngine mono(world.corpus, world.index,
-                                      MakeScorer(kind), strategy);
-      const search::LiveSearchEngine segmented(world.corpus, *live,
-                                               MakeScorer(kind), strategy);
-      const uint64_t mono_digest = ResultDigest(mono, queries);
-      EXPECT_EQ(mono_digest, kGolden[kind])
-          << std::hex << "SearchEngine digest 0x" << mono_digest;
-      const uint64_t segmented_digest = ResultDigest(segmented, queries);
-      EXPECT_EQ(segmented_digest, kGolden[kind])
-          << std::hex << "LiveSearchEngine digest 0x" << segmented_digest;
-    }
+    SCOPED_TRACE(MakeScorer(kind)->Name());
+    const search::SearchEngine mono(world.corpus, world.index,
+                                    MakeScorer(kind));
+    const search::LiveSearchEngine segmented(world.corpus, *live,
+                                             MakeScorer(kind));
+    const search::LiveSearchEngine pooled(world.corpus, *live,
+                                          MakeScorer(kind), &eval_pool);
+    const uint64_t mono_digest = ResultDigest(mono, queries);
+    EXPECT_EQ(mono_digest, kGolden[kind])
+        << std::hex << "SearchEngine digest 0x" << mono_digest;
+    const uint64_t segmented_digest = ResultDigest(segmented, queries);
+    EXPECT_EQ(segmented_digest, kGolden[kind])
+        << std::hex << "LiveSearchEngine digest 0x" << segmented_digest;
+    const uint64_t pooled_digest = ResultDigest(pooled, queries);
+    EXPECT_EQ(pooled_digest, kGolden[kind])
+        << std::hex << "pooled LiveSearchEngine digest 0x" << pooled_digest;
   }
 }
 

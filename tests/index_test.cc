@@ -98,43 +98,34 @@ TEST_P(PostingBlockProperty, RoundTripsThroughBlocksAtEverySize) {
   PostingList::Builder builder;
   std::vector<Posting> expected;
   corpus::DocId doc = 0;
-  uint32_t want_max_tf = 0;
   for (size_t i = 0; i < n; ++i) {
     doc += 1 + static_cast<corpus::DocId>(rng.UniformInt(uint64_t{700}));
     uint32_t tf = 1 + static_cast<uint32_t>(rng.UniformInt(uint64_t{90}));
     builder.Append(doc, tf);
     expected.push_back({doc, tf});
-    want_max_tf = std::max(want_max_tf, tf);
   }
   PostingList list = builder.Build();
 
   // In-memory block directory invariants.
   EXPECT_EQ(list.size(), n);
   EXPECT_EQ(list.num_blocks(), (n + 127) / 128);
-  EXPECT_EQ(list.max_tf(), want_max_tf);
   EXPECT_EQ(list.Decode(), expected);
   size_t covered = 0;
-  uint32_t directory_max_tf = 0;
   index::PostingBlock block;
   for (size_t b = 0; b < list.num_blocks(); ++b) {
     const PostingList::BlockInfo& info = list.block(b);
     list.DecodeBlock(b, &block);
     ASSERT_EQ(block.count, info.count);
     ASSERT_LE(info.count, index::kPostingBlockSize);
-    uint32_t block_max_tf = 0;
     for (uint32_t i = 0; i < block.count; ++i) {
       EXPECT_EQ(block.docs[i], expected[covered + i].doc);
       EXPECT_EQ(block.tfs[i], expected[covered + i].tf);
-      block_max_tf = std::max(block_max_tf, block.tfs[i]);
     }
     EXPECT_EQ(info.first_doc, block.docs[0]);
     EXPECT_EQ(info.last_doc, block.docs[block.count - 1]);
-    EXPECT_EQ(info.max_tf, block_max_tf);
-    directory_max_tf = std::max(directory_max_tf, info.max_tf);
     covered += block.count;
   }
   EXPECT_EQ(covered, n);
-  EXPECT_EQ(directory_max_tf, want_max_tf);
 
   // Wire round trip: decode reproduces everything, re-encode is
   // byte-stable, and the decoder leaves `pos` exactly at the end.
@@ -145,7 +136,6 @@ TEST_P(PostingBlockProperty, RoundTripsThroughBlocksAtEverySize) {
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(pos, bytes.size());
   EXPECT_EQ(restored->Decode(), expected);
-  EXPECT_EQ(restored->max_tf(), want_max_tf);
   EXPECT_EQ(restored->num_blocks(), list.num_blocks());
   EXPECT_EQ(restored->ByteSize(), list.ByteSize());
   std::string again;
@@ -199,7 +189,6 @@ TEST(PostingListTest, LegacyV0BlobsStillDecode) {
   ASSERT_TRUE(list.ok()) << list.status().ToString();
   EXPECT_EQ(pos, bytes.size());
   EXPECT_EQ(list->Decode(), expected);
-  EXPECT_EQ(list->max_tf(), 5u);
   EXPECT_EQ(list->num_blocks(), 1u);
   // ByteSize is layout-independent, so it survives the transcode.
   EXPECT_EQ(list->ByteSize(), body.size());

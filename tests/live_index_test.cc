@@ -50,9 +50,6 @@ std::unique_ptr<search::Scorer> MakeScorer(int which) {
   }
 }
 
-const search::EvalStrategy kStrategies[] = {search::EvalStrategy::kTAAT,
-                                            search::EvalStrategy::kMaxScore};
-
 void ExpectBitIdentical(const std::vector<ScoredDoc>& got,
                         const std::vector<ScoredDoc>& want,
                         const char* context) {
@@ -106,11 +103,8 @@ util::ThreadPool& EvalPool() {
 }
 
 // THE parity check: the live index's current state must be
-// indistinguishable — results (all scorers × both strategies × sequential
-// and pooled per-segment scatter) and stats — from a static build of
-// `final_docs`. MaxScore runs over the engine's cached per-segment impact
-// bounds (queries after the first serve from the cache), so every call
-// here also locks down cached-bounds parity.
+// indistinguishable — results (all scorers × sequential and pooled
+// per-segment scatter) and stats — from a static build of `final_docs`.
 void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs,
                              size_t vocab_size,
                              const std::vector<Doc>& queries, size_t k,
@@ -121,21 +115,16 @@ void ExpectLiveMatchesStatic(LiveIndex& live, const std::vector<Doc>& final_docs
   ASSERT_EQ(snapshot->num_documents(), static_index.num_documents()) << context;
   ExpectStatsEqual(snapshot->ComputeStats(), static_index.ComputeStats());
   for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
-    for (search::EvalStrategy strategy : kStrategies) {
-      search::SearchEngine mono(expected, static_index,
-                                MakeScorer(scorer_kind), strategy);
-      LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind),
-                              strategy);
-      LiveSearchEngine pooled(expected, live, MakeScorer(scorer_kind),
-                              strategy, &EvalPool());
-      for (size_t qi = 0; qi < queries.size(); ++qi) {
-        SCOPED_TRACE(::testing::Message()
-                     << context << " scorer=" << scorer_kind << " strategy="
-                     << search::EvalStrategyName(strategy) << " query=" << qi);
-        const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], k);
-        ExpectBitIdentical(engine.Evaluate(queries[qi], k), want, context);
-        ExpectBitIdentical(pooled.Evaluate(queries[qi], k), want, context);
-      }
+    search::SearchEngine mono(expected, static_index, MakeScorer(scorer_kind));
+    LiveSearchEngine engine(expected, live, MakeScorer(scorer_kind));
+    LiveSearchEngine pooled(expected, live, MakeScorer(scorer_kind),
+                            &EvalPool());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      SCOPED_TRACE(::testing::Message() << context << " scorer="
+                                        << scorer_kind << " query=" << qi);
+      const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], k);
+      ExpectBitIdentical(engine.Evaluate(queries[qi], k), want, context);
+      ExpectBitIdentical(pooled.Evaluate(queries[qi], k), want, context);
     }
   }
 }
@@ -209,8 +198,8 @@ TEST(LiveIndexParityTest, BatchSplitSchedulesMatchStaticBuild) {
 }
 
 TEST(LiveIndexParityTest, FullWorkloadParityAfterStreamedIngest) {
-  // One schedule, the FULL workload, under the default strategy/scorer
-  // pairing the serving layer uses most.
+  // One schedule, the FULL workload, under the scorer the serving layer
+  // uses most.
   const std::vector<Doc> docs = WorldDocs();
   const size_t vocab = World().corpus.vocabulary_size();
   LiveIndexOptions options;
@@ -294,18 +283,16 @@ TEST(LiveIndexParityTest, DeleteThenReinsertMatchesStaticBuildOfFinalCorpus) {
                           "delete-reinsert");
 }
 
-// The cached-bounds protocol's hard edges, exercised through PERSISTENT
-// engines whose caches live across the mutations (fresh engines per stage
-// would never hold a stale table):
+// The collection-statistics edges a live index crosses, exercised through
+// PERSISTENT engines that serve every stage (and so reuse their threads'
+// evaluation scratch, length table included, across the mutations):
 //   - a delete dropping a term's df to zero,
 //   - EnsureTermSpace growth followed by docs using the new term ids,
-//   - a merge commit swapping the segment list under cached tables
-//     (df-neutral: the version must NOT move, yet the merge output's
-//     tables recompute on first use via segment identity).
-// Every stage checks all engines bit-identical against a static build of
-// the stage's corpus, evaluating twice so the second call serves from the
-// cache.
-TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
+//   - a merge commit swapping the segment list under the engines.
+// Every stage checks a sequential and a pooled engine bit-identical
+// against a static build of the stage's corpus, evaluating the sequential
+// one twice so the second call runs on the scratch the first left behind.
+TEST(LiveIndexParityTest, DfEdgesKeepLiveParity) {
   const size_t kFinalVocab = 12;
   // Long-lived corpus for the engines to borrow (the live engines score
   // from snapshots; the corpus only backs corpus() consumers, so the full
@@ -313,17 +300,13 @@ TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
   corpus::Corpus host = CorpusFromDocs(kFinalVocab, {});
 
   LiveIndexOptions options;
-  options.max_writer_docs = 2;  // small segments → many bound tables
+  options.max_writer_docs = 2;  // small segments → a wide fan-out
   options.merge_factor = 4;
   LiveIndex live(options);
   live.EnsureTermSpace(8);
 
-  LiveSearchEngine seq_max(host, live, search::MakeBm25Scorer(),
-                           search::EvalStrategy::kMaxScore);
-  LiveSearchEngine pooled_max(host, live, search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore, &EvalPool());
-  LiveSearchEngine taat(host, live, search::MakeBm25Scorer(),
-                        search::EvalStrategy::kTAAT);
+  LiveSearchEngine sequential(host, live, search::MakeBm25Scorer());
+  LiveSearchEngine pooled(host, live, search::MakeBm25Scorer(), &EvalPool());
 
   std::vector<Doc> final_docs;  // mirror of the live collection
   auto check_stage = [&](size_t stage_vocab,
@@ -333,61 +316,44 @@ TEST(LiveIndexParityTest, DfVersionEdgesKeepCachedBoundsExact) {
     corpus::Corpus expected = CorpusFromDocs(stage_vocab, final_docs);
     InvertedIndex static_index = InvertedIndex::Build(expected);
     search::SearchEngine mono(expected, static_index,
-                              search::MakeBm25Scorer(),
-                              search::EvalStrategy::kMaxScore);
+                              search::MakeBm25Scorer());
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       SCOPED_TRACE(::testing::Message() << stage << " query=" << qi);
       const std::vector<ScoredDoc> want = mono.Evaluate(queries[qi], 8);
-      // Twice: the first call (re)builds the stage's tables, the second
-      // must serve them from the cache with identical results.
-      ExpectBitIdentical(seq_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(seq_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(pooled_max.Evaluate(queries[qi], 8), want, stage);
-      ExpectBitIdentical(taat.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(sequential.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(sequential.Evaluate(queries[qi], 8), want, stage);
+      ExpectBitIdentical(pooled.Evaluate(queries[qi], 8), want, stage);
     }
   };
 
-  // Stage 0 — baseline: populate the collection and the bound caches.
-  // Term 5 appears in exactly one document (doc "1"), so deleting that
-  // document later drops df[5] to zero.
+  // Stage 0 — baseline. Term 5 appears in exactly one document (doc "1"),
+  // so deleting that document later drops df[5] to zero.
   const std::vector<Doc> baseline = {
       {0, 1, 2, 2}, {3, 5, 5, 1}, {2, 4, 0}, {1, 3, 3}, {4, 4, 2, 0}};
   std::vector<StableId> ids = live.Ingest(baseline);
   for (const Doc& d : baseline) final_docs.push_back(d);
   check_stage(8, {{1, 2}, {5}, {0, 3, 4}}, "baseline");
 
-  // Stage 1 — delete the ONLY holder of term 5: df[5] 1 → 0. A cached
-  // table treating term 5 as scoreable would disagree with the static
-  // build where the term simply does not occur.
-  const uint64_t v_baseline = live.Acquire()->df_version();
+  // Stage 1 — delete the ONLY holder of term 5: df[5] 1 → 0. A segment
+  // still holding the tombstoned posting must score term 5 as the static
+  // build does, where the term simply does not occur.
   ASSERT_TRUE(live.Delete(ids[1]));
   final_docs.erase(final_docs.begin() + 1);
-  EXPECT_GT(live.Refresh()->df_version(), v_baseline)
-      << "delete must bump the df-version";
   check_stage(8, {{1, 2}, {5}, {5, 3}, {0, 3, 4}}, "df-to-zero");
 
   // Stage 2 — grow the term space mid-stream and ingest docs carrying the
-  // new ids: cached tables are too SHORT for the new vocabulary.
-  const uint64_t v_delete = live.Acquire()->df_version();
+  // new ids: older segments' term spaces are too SHORT for them.
   live.EnsureTermSpace(kFinalVocab);
   const std::vector<Doc> growth = {{9, 10, 1}, {11, 11, 2, 9}, {8, 0}};
   live.Ingest(growth);
   for (const Doc& d : growth) final_docs.push_back(d);
-  EXPECT_GT(live.Refresh()->df_version(), v_delete)
-      << "term-space growth must bump the df-version";
   check_stage(kFinalVocab, {{9, 11}, {1, 10}, {8, 2}, {0, 4, 11}}, "growth");
 
-  // Stage 3 — merge: the doc set (and so every df) is untouched, the
-  // version must NOT move, but the segment list the cached tables were
-  // keyed to is swapped out wholesale. Identity keying makes the merge
-  // output recompute on first use; results stay bit-identical.
-  const uint64_t v_growth = live.Acquire()->df_version();
+  // Stage 3 — merge: the doc set (and so every df) is untouched, but the
+  // segment list is swapped out wholesale; results stay bit-identical.
   ASSERT_GT(live.Acquire()->num_segments(), 1u);
   live.ForceMerge();
-  std::shared_ptr<const IndexSnapshot> merged = live.Refresh();
-  EXPECT_EQ(merged->df_version(), v_growth)
-      << "a merge preserves the live doc set and must be df-neutral";
-  EXPECT_EQ(merged->num_segments(), 1u);
+  EXPECT_EQ(live.Refresh()->num_segments(), 1u);
   check_stage(kFinalVocab, {{9, 11}, {1, 10}, {5}, {0, 4, 11}}, "merged");
 }
 

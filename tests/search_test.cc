@@ -224,7 +224,6 @@ TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
       CollectionStats{7, 3.5, 0}};
   const uint32_t dfs[] = {0, 1, 2, 7, 250, 500};
   const uint32_t qtfs[] = {1, 2, 5};
-  // doc_length 0 is the UpperBound evaluation point.
   const uint32_t doc_lengths[] = {0, 1, 3, 80, 1000};
   const uint32_t tfs[] = {1, 2, 3, 17, 400};
   const double accumulated[] = {0.0, 0.37, 5.25, 123.456};
@@ -248,9 +247,6 @@ TEST(ScorerTest, PreparedTermMatchesTermScoreBitForBit) {
           // evaluators do per query term.
           const PreparedTerm term = scorer->PrepareTerm(stats, df, qtf);
           for (uint32_t tf : tfs) {
-            EXPECT_EQ(scorer->UpperBound(stats, df, tf, qtf),
-                      ReferenceTermScore(kind, stats, 0, tf, df, qtf))
-                << "df " << df << " qtf " << qtf << " max_tf " << tf;
             for (uint32_t dl : doc_lengths) {
               const double want =
                   ReferenceTermScore(kind, stats, dl, tf, df, qtf);
@@ -418,98 +414,6 @@ TEST(EngineTest, ContiguousAccumulatorMatchesMapBasedEvaluateBitForBit) {
   }
 }
 
-// ---------------------------------------------------- MaxScore vs TAAT --
-
-TEST(MaxScoreTest, UpperBoundDominatesEveryPostingScore) {
-  // The safety premise of MaxScore pruning: for every term, the list-level
-  // (and block-level) UpperBound is >= the TermScore of every posting,
-  // compared as exact doubles.
-  const auto& world = toppriv::testing::World();
-  CollectionStats stats = CollectionStats::Of(world.index);
-  for (int kind = 0; kind < 3; ++kind) {
-    std::unique_ptr<Scorer> scorer = ScorerByKind(kind);
-    for (text::TermId t = 0; t < world.index.num_terms(); ++t) {
-      const index::PostingList& list = world.index.Postings(t);
-      if (list.empty()) continue;
-      const uint32_t df = world.index.DocFreq(t);
-      for (uint32_t qtf : {1u, 3u}) {
-        const double list_ub = scorer->UpperBound(stats, df, list.max_tf(), qtf);
-        size_t b = 0;
-        index::PostingBlock block;
-        for (; b < list.num_blocks(); ++b) {
-          const double block_ub =
-              scorer->UpperBound(stats, df, list.block(b).max_tf, qtf);
-          EXPECT_LE(block_ub, list_ub) << "term " << t << " block " << b;
-          list.DecodeBlock(b, &block);
-          for (uint32_t i = 0; i < block.count; ++i) {
-            const double s =
-                scorer->TermScore(stats, world.index.DocLength(block.docs[i]),
-                                  block.tfs[i], df, qtf);
-            ASSERT_LE(s, block_ub)
-                << scorer->Name() << " term " << t << " doc " << block.docs[i];
-          }
-        }
-      }
-    }
-  }
-}
-
-TEST(MaxScoreTest, MatchesTaatBitForBitOnWorkloadAndRandomQueries) {
-  // The tentpole parity lock: document-at-a-time MaxScore returns the
-  // IDENTICAL top-k — documents, order, score bits — as term-at-a-time,
-  // for every scorer, across k values that exercise both the unfilled-heap
-  // (no pruning) and tight-threshold (heavy pruning) regimes.
-  const auto& world = toppriv::testing::World();
-  for (int kind = 0; kind < 3; ++kind) {
-    SearchEngine taat(world.corpus, world.index, ScorerByKind(kind),
-                      EvalStrategy::kTAAT);
-    SearchEngine maxscore(world.corpus, world.index, ScorerByKind(kind),
-                          EvalStrategy::kMaxScore);
-    ASSERT_EQ(maxscore.eval_strategy(), EvalStrategy::kMaxScore);
-    util::Rng rng(1234 + kind);
-    for (int trial = 0; trial < 60; ++trial) {
-      std::vector<text::TermId> query;
-      if (trial < static_cast<int>(world.workload.size())) {
-        query = world.workload[trial].term_ids;
-      } else {
-        size_t len = 1 + rng.UniformInt(uint64_t{7});
-        for (size_t i = 0; i < len; ++i) {
-          // Draw past the vocabulary every other trial (empty lists).
-          uint64_t space =
-              world.corpus.vocabulary_size() + (trial % 2 ? 40 : 0);
-          query.push_back(static_cast<text::TermId>(rng.UniformInt(space)));
-        }
-        if (len > 1 && trial % 3 == 0) query.push_back(query[0]);  // dup
-      }
-      for (size_t k : {size_t{1}, size_t{3}, size_t{10}, size_t{400}}) {
-        SCOPED_TRACE(::testing::Message() << "scorer=" << kind << " trial="
-                                          << trial << " k=" << k);
-        std::vector<ScoredDoc> want = taat.Evaluate(query, k);
-        std::vector<ScoredDoc> got = maxscore.Evaluate(query, k);
-        ASSERT_EQ(got.size(), want.size());
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].doc, want[i].doc) << "rank " << i;
-          // Bit equality: same canonical accumulation order per document.
-          EXPECT_EQ(got[i].score, want[i].score) << "rank " << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(MaxScoreTest, StrategyNamesAndEnvParsing) {
-  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kTAAT), "taat");
-  EXPECT_STREQ(EvalStrategyName(EvalStrategy::kMaxScore), "maxscore");
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "maxscore", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kMaxScore);
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "taat", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-  ::setenv("TOPPRIV_EVAL_STRATEGY", "garbage", 1);
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-  ::unsetenv("TOPPRIV_EVAL_STRATEGY");
-  EXPECT_EQ(EvalStrategyFromEnv(), EvalStrategy::kTAAT);
-}
-
 TEST(EngineTest, EmptyQueryReturnsNothing) {
   corpus::Corpus c = toppriv::testing::TinyCorpus();
   index::InvertedIndex index = index::InvertedIndex::Build(c);
@@ -560,11 +464,11 @@ void ExpectSameBits(const std::vector<ScoredDoc>& got,
 // of its own, so its scratch (and length table) has served nothing else.
 std::vector<std::vector<ScoredDoc>> FreshThreadResults(
     const corpus::Corpus& corpus, const index::InvertedIndex& index,
-    std::unique_ptr<Scorer> scorer, EvalStrategy strategy,
+    std::unique_ptr<Scorer> scorer,
     const std::vector<std::vector<text::TermId>>& queries, size_t k) {
   std::vector<std::vector<ScoredDoc>> results;
   std::thread worker([&] {
-    const SearchEngine engine(corpus, index, std::move(scorer), strategy);
+    const SearchEngine engine(corpus, index, std::move(scorer));
     for (const auto& q : queries) results.push_back(engine.Evaluate(q, k));
   });
   worker.join();
@@ -582,27 +486,23 @@ std::vector<std::vector<text::TermId>> KernelQueries(size_t limit) {
 
 TEST(EvalKernelTest, EnginesSharingAThreadShareNoStaleLengthTable) {
   // One thread's scratch serves engines with different BM25 parameters in
-  // turn; the by-value length key must rebuild the table at every switch.
+  // turn; the by-value length key must rebuild the table at every switch
+  // (and serve the repeated middle configuration from the same table).
   const auto& world = toppriv::testing::World();
   const auto queries = KernelQueries(20);
   const size_t k = 10;
   struct Config {
     double k1;
     double b;
-    EvalStrategy strategy;
   };
-  const Config configs[] = {{1.2, 0.75, EvalStrategy::kTAAT},
-                            {2.0, 0.5, EvalStrategy::kTAAT},
-                            {2.0, 0.5, EvalStrategy::kMaxScore},
-                            {1.2, 0.75, EvalStrategy::kMaxScore}};
+  const Config configs[] = {{1.2, 0.75}, {2.0, 0.5}, {2.0, 0.5}, {1.2, 0.75}};
   std::vector<std::unique_ptr<SearchEngine>> engines;
   std::vector<std::vector<std::vector<ScoredDoc>>> want;
   for (const Config& c : configs) {
     engines.push_back(std::make_unique<SearchEngine>(
-        world.corpus, world.index, MakeBm25Scorer(c.k1, c.b), c.strategy));
+        world.corpus, world.index, MakeBm25Scorer(c.k1, c.b)));
     want.push_back(FreshThreadResults(world.corpus, world.index,
-                                      MakeBm25Scorer(c.k1, c.b), c.strategy,
-                                      queries, k));
+                                      MakeBm25Scorer(c.k1, c.b), queries, k));
   }
   ASSERT_NE(want[0][0][0].score, want[1][0][0].score);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
@@ -664,8 +564,8 @@ TEST(EvalKernelTest, LiveEngineFollowsAvgDocLengthAcrossRefresh) {
     const index::InvertedIndex static_index =
         index::InvertedIndex::Build(expected);
     const auto want =
-        FreshThreadResults(expected, static_index, MakeBm25Scorer(),
-                           EvalStrategy::kTAAT, queries, k);
+        FreshThreadResults(expected, static_index, MakeBm25Scorer(), queries,
+                           k);
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       SCOPED_TRACE(::testing::Message() << "stage " << stage << " query "
                                         << qi);
@@ -676,7 +576,7 @@ TEST(EvalKernelTest, LiveEngineFollowsAvgDocLengthAcrossRefresh) {
 }
 
 // A scorer the kernel cannot see into: BM25 behind the base interface. The
-// evaluation cores serve it through their generic instantiation, with
+// evaluation core serves it through its generic instantiation, with
 // virtual calls and a length table rebuilt on every use.
 class OpaqueBm25 : public Scorer {
  public:
@@ -704,18 +604,13 @@ TEST(EvalKernelTest, GenericInstantiationMatchesTheInlinedOne) {
   EXPECT_EQ(OpaqueBm25().kind(), Scorer::Kind::kCustom);
   EXPECT_FALSE(OpaqueBm25().length_key(CollectionStats::Of(world.index))
                    .cacheable);
-  for (EvalStrategy strategy :
-       {EvalStrategy::kTAAT, EvalStrategy::kMaxScore}) {
-    SearchEngine inlined(world.corpus, world.index, MakeBm25Scorer(),
-                         strategy);
-    SearchEngine generic(world.corpus, world.index,
-                         std::make_unique<OpaqueBm25>(), strategy);
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      SCOPED_TRACE(::testing::Message()
-                   << EvalStrategyName(strategy) << " query " << qi);
-      ExpectSameBits(generic.Evaluate(queries[qi], 10),
-                     inlined.Evaluate(queries[qi], 10));
-    }
+  SearchEngine inlined(world.corpus, world.index, MakeBm25Scorer());
+  SearchEngine generic(world.corpus, world.index,
+                       std::make_unique<OpaqueBm25>());
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    SCOPED_TRACE(::testing::Message() << "query " << qi);
+    ExpectSameBits(generic.Evaluate(queries[qi], 10),
+                   inlined.Evaluate(queries[qi], 10));
   }
 }
 

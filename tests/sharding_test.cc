@@ -3,9 +3,9 @@
 // A K-shard index is the corpus as K sealed segments of one LiveIndex
 // (experiments::BuildSegmentedIndex), served by LiveSearchEngine — what
 // ExperimentFixture::MakeEngine builds for K > 1. The contract under test:
-// the partition is INVISIBLE. For any shard count, fan-out thread count,
-// evaluation strategy and scorer, the engine returns bit-identical results
-// to the monolithic SearchEngine, and the snapshot's aggregated statistics
+// the partition is INVISIBLE. For any shard count, fan-out thread count
+// and scorer, the engine returns bit-identical results to the monolithic
+// SearchEngine, and the snapshot's aggregated statistics
 // equal the static index's exactly.
 #include <memory>
 #include <thread>
@@ -33,7 +33,6 @@ using experiments::ExperimentFixture;
 using index::IndexStats;
 using index::InvertedIndex;
 using index::live::IndexSnapshot;
-using search::EvalStrategy;
 using search::ScoredDoc;
 using toppriv::testing::World;
 
@@ -43,9 +42,6 @@ using toppriv::testing::World;
 std::vector<size_t> ShardCounts() {
   return {1, 2, 4, 7, World().corpus.num_documents() + 3};
 }
-
-const EvalStrategy kStrategies[] = {EvalStrategy::kTAAT,
-                                    EvalStrategy::kMaxScore};
 
 std::unique_ptr<search::Scorer> MakeScorer(int which) {
   switch (which) {
@@ -102,41 +98,35 @@ TEST(ShardingParityTest, FixtureCorpusIsTheWorldCorpus) {
 }
 
 TEST(ShardingParityTest, MakeEngineMatchesMonolithicAcrossGrid) {
-  // K × strategy × fan-out threads × scorer. LmDirichlet is the scorer
-  // whose Normalize depends on collection statistics, so it catches a
-  // segment-local stats leak the other two cannot. MaxScore prunes per
-  // segment against per-segment thresholds, so the grid also proves
-  // pruning composes with the gather.
+  // K × fan-out threads × scorer. LmDirichlet is the scorer whose
+  // Normalize depends on collection statistics, so it catches a
+  // segment-local stats leak the other two cannot.
   const auto& world = World();
   for (int scorer_kind = 0; scorer_kind < 3; ++scorer_kind) {
     search::SearchEngine mono(world.corpus, world.index,
                               MakeScorer(scorer_kind));
     for (size_t num_shards : ShardCounts()) {
-      for (EvalStrategy strategy : kStrategies) {
-        for (size_t threads : {size_t{1}, size_t{4}}) {
-          SCOPED_TRACE(::testing::Message()
-                       << "scorer=" << scorer_kind << " shards=" << num_shards
-                       << " strategy=" << search::EvalStrategyName(strategy)
-                       << " threads=" << threads);
-          std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
-              MakeScorer(scorer_kind), num_shards, threads, strategy);
-          ASSERT_EQ(engine->eval_strategy(), strategy);
-          const index::live::LiveIndex* live = SegmentsOf(*engine);
-          if (num_shards == 1) {
-            EXPECT_EQ(live, nullptr);
-          } else {
-            // Exactly min(K, N) sealed segments: no merge ran.
-            ASSERT_NE(live, nullptr);
-            EXPECT_EQ(live->num_segments(),
-                      std::min(num_shards, world.corpus.num_documents()));
-            EXPECT_EQ(live->Acquire()->num_segments(), live->num_segments());
-          }
-          for (size_t qi = 0; qi < world.workload.size(); ++qi) {
-            SCOPED_TRACE(qi);
-            ExpectBitIdentical(engine->Evaluate(world.workload[qi].term_ids, 10),
-                               mono.Evaluate(world.workload[qi].term_ids, 10),
-                               "workload");
-          }
+      for (size_t threads : {size_t{1}, size_t{4}}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "scorer=" << scorer_kind << " shards=" << num_shards
+                     << " threads=" << threads);
+        std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
+            MakeScorer(scorer_kind), num_shards, threads);
+        const index::live::LiveIndex* live = SegmentsOf(*engine);
+        if (num_shards == 1) {
+          EXPECT_EQ(live, nullptr);
+        } else {
+          // Exactly min(K, N) sealed segments: no merge ran.
+          ASSERT_NE(live, nullptr);
+          EXPECT_EQ(live->num_segments(),
+                    std::min(num_shards, world.corpus.num_documents()));
+          EXPECT_EQ(live->Acquire()->num_segments(), live->num_segments());
+        }
+        for (size_t qi = 0; qi < world.workload.size(); ++qi) {
+          SCOPED_TRACE(qi);
+          ExpectBitIdentical(engine->Evaluate(world.workload[qi].term_ids, 10),
+                             mono.Evaluate(world.workload[qi].term_ids, 10),
+                             "workload");
         }
       }
     }
@@ -148,27 +138,23 @@ TEST(ShardingParityTest, RandomQueriesIncludingRepeatsAndUnknownTerms) {
   search::SearchEngine mono(world.corpus, world.index, search::MakeBm25Scorer());
   util::Rng rng(4242);
   for (size_t num_shards : {size_t{2}, size_t{7}}) {
-    for (EvalStrategy strategy : kStrategies) {
-      std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
-          search::MakeBm25Scorer(), num_shards, 1, strategy);
-      for (int trial = 0; trial < 40; ++trial) {
-        SCOPED_TRACE(::testing::Message()
-                     << "shards=" << num_shards << " strategy="
-                     << search::EvalStrategyName(strategy)
-                     << " trial=" << trial);
-        size_t len = 1 + rng.UniformInt(uint64_t{6});
-        std::vector<text::TermId> query;
-        for (size_t i = 0; i < len; ++i) {
-          // Every other trial draws past the vocabulary to hit empty lists.
-          uint64_t space =
-              world.corpus.vocabulary_size() + (trial % 2 ? 50 : 0);
-          query.push_back(static_cast<text::TermId>(rng.UniformInt(space)));
-        }
-        // Duplicate a term half the time: qtf collapse must match too.
-        if (len > 1 && trial % 2 == 0) query.push_back(query[0]);
-        ExpectBitIdentical(engine->Evaluate(query, 15),
-                           mono.Evaluate(query, 15), "random");
+    std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
+        search::MakeBm25Scorer(), num_shards, 1);
+    for (int trial = 0; trial < 40; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shards=" << num_shards << " trial=" << trial);
+      size_t len = 1 + rng.UniformInt(uint64_t{6});
+      std::vector<text::TermId> query;
+      for (size_t i = 0; i < len; ++i) {
+        // Every other trial draws past the vocabulary to hit empty lists.
+        uint64_t space =
+            world.corpus.vocabulary_size() + (trial % 2 ? 50 : 0);
+        query.push_back(static_cast<text::TermId>(rng.UniformInt(space)));
       }
+      // Duplicate a term half the time: qtf collapse must match too.
+      if (len > 1 && trial % 2 == 0) query.push_back(query[0]);
+      ExpectBitIdentical(engine->Evaluate(query, 15),
+                         mono.Evaluate(query, 15), "random");
     }
   }
 }
@@ -261,7 +247,7 @@ TEST(ShardingTieBreakTest, ExactCrossSegmentTiesOrderByDocId) {
     for (util::ThreadPool* fanout : {static_cast<util::ThreadPool*>(nullptr),
                                      &pool}) {
       search::LiveSearchEngine engine(c, *live, search::MakeBm25Scorer(),
-                                      EvalStrategy::kTAAT, fanout);
+                                      fanout);
       ExpectBitIdentical(engine.Evaluate({a}, 6), want, "tie/full");
       // Truncation through the tie must keep the lower doc ids.
       std::vector<ScoredDoc> top2 = engine.Evaluate({a}, 2);
@@ -281,32 +267,29 @@ TEST(ShardingTieBreakTest, ExactCrossSegmentTiesOrderByDocId) {
 // scratches).
 TEST(ShardingFanOutTest, PooledMatchesSequentialUnderConcurrentCallers) {
   const auto& world = World();
-  for (EvalStrategy strategy : kStrategies) {
-    SCOPED_TRACE(search::EvalStrategyName(strategy));
-    std::unique_ptr<search::QueryEngine> sequential =
-        Fixture().MakeEngine(search::MakeBm25Scorer(), 7, 1, strategy);
-    std::unique_ptr<search::QueryEngine> pooled_a =
-        Fixture().MakeEngine(search::MakeBm25Scorer(), 7, 4, strategy);
-    std::unique_ptr<search::QueryEngine> pooled_b =
-        Fixture().MakeEngine(search::MakeBm25Scorer(), 4, 4, strategy);
-    std::vector<std::vector<ScoredDoc>> want;
-    for (const auto& q : world.workload) {
-      want.push_back(sequential->Evaluate(q.term_ids, 10));
-    }
-    std::vector<std::thread> callers;
-    for (int c = 0; c < 4; ++c) {
-      const search::QueryEngine& engine = c % 2 == 0 ? *pooled_a : *pooled_b;
-      callers.emplace_back([&, c] {
-        for (size_t i = 0; i < world.workload.size(); ++i) {
-          const size_t qi = (i + static_cast<size_t>(c)) %
-                            world.workload.size();
-          ExpectBitIdentical(engine.Evaluate(world.workload[qi].term_ids, 10),
-                             want[qi], "pooled");
-        }
-      });
-    }
-    for (std::thread& t : callers) t.join();
+  std::unique_ptr<search::QueryEngine> sequential =
+      Fixture().MakeEngine(search::MakeBm25Scorer(), 7, 1);
+  std::unique_ptr<search::QueryEngine> pooled_a =
+      Fixture().MakeEngine(search::MakeBm25Scorer(), 7, 4);
+  std::unique_ptr<search::QueryEngine> pooled_b =
+      Fixture().MakeEngine(search::MakeBm25Scorer(), 4, 4);
+  std::vector<std::vector<ScoredDoc>> want;
+  for (const auto& q : world.workload) {
+    want.push_back(sequential->Evaluate(q.term_ids, 10));
   }
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 4; ++c) {
+    const search::QueryEngine& engine = c % 2 == 0 ? *pooled_a : *pooled_b;
+    callers.emplace_back([&, c] {
+      for (size_t i = 0; i < world.workload.size(); ++i) {
+        const size_t qi = (i + static_cast<size_t>(c)) %
+                          world.workload.size();
+        ExpectBitIdentical(engine.Evaluate(world.workload[qi].term_ids, 10),
+                           want[qi], "pooled");
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
 }
 
 // ------------------------------------------------------ stats properties --
@@ -404,7 +387,7 @@ TEST(ShardingStatsTest, DocFreqAndDocLengthMatchMonolithic) {
 // The full-stack invariant: a SessionDriver serving many concurrent
 // sessions over a K-segment engine produces digests bit-identical to the
 // same driver over the monolithic engine, at every driver thread count ×
-// segment fan-out × strategy combination (concurrent sessions share one
+// segment fan-out combination (concurrent sessions share one
 // fan-out pool).
 TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
   const auto& world = World();
@@ -430,22 +413,19 @@ TEST(ShardedServingTest, DriverDigestsMatchMonolithicAcrossThreadCounts) {
   serving::ServingReport want = run(mono, 1);
 
   for (size_t engine_threads : {size_t{1}, size_t{4}}) {
-    for (EvalStrategy strategy : kStrategies) {
-      std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
-          search::MakeBm25Scorer(), 4, engine_threads, strategy);
-      for (size_t driver_threads : {size_t{1}, size_t{4}}) {
-        SCOPED_TRACE(::testing::Message()
-                     << "engine_threads=" << engine_threads << " strategy="
-                     << search::EvalStrategyName(strategy)
-                     << " driver_threads=" << driver_threads);
-        serving::ServingReport got = run(*engine, driver_threads);
-        ASSERT_EQ(got.sessions.size(), want.sessions.size());
-        for (size_t s = 0; s < got.sessions.size(); ++s) {
-          EXPECT_EQ(got.sessions[s].digest, want.sessions[s].digest)
-              << "session " << s;
-          EXPECT_EQ(got.sessions[s].queries_submitted,
-                    want.sessions[s].queries_submitted);
-        }
+    std::unique_ptr<search::QueryEngine> engine = Fixture().MakeEngine(
+        search::MakeBm25Scorer(), 4, engine_threads);
+    for (size_t driver_threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "engine_threads=" << engine_threads
+                   << " driver_threads=" << driver_threads);
+      serving::ServingReport got = run(*engine, driver_threads);
+      ASSERT_EQ(got.sessions.size(), want.sessions.size());
+      for (size_t s = 0; s < got.sessions.size(); ++s) {
+        EXPECT_EQ(got.sessions[s].digest, want.sessions[s].digest)
+            << "session " << s;
+        EXPECT_EQ(got.sessions[s].queries_submitted,
+                  want.sessions[s].queries_submitted);
       }
     }
   }
