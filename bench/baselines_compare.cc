@@ -51,8 +51,6 @@ int main() {
   const double eps1 = 0.05;
   const size_t budget = 4;  // cycle length / expansion factor
 
-  // Monolithic by default; TOPPRIV_SHARDS=K runs the same figure over a
-  // sharded engine (results are identical by the parity contract).
   std::unique_ptr<search::QueryEngine> engine_owner =
       fixture.MakeEngine(search::MakeBm25Scorer());
   search::QueryEngine& engine = *engine_owner;

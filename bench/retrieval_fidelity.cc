@@ -41,8 +41,6 @@ int main(int argc, char** argv) {
   const size_t num_topics = 200;
   const topicmodel::LdaModel& model = fixture.model(num_topics);
 
-  // Monolithic by default; TOPPRIV_SHARDS=K runs the same figure over a
-  // sharded engine (results are identical by the parity contract).
   std::unique_ptr<search::QueryEngine> engine_owner =
       fixture.MakeEngine(search::MakeBm25Scorer());
   search::QueryEngine& engine = *engine_owner;
@@ -88,9 +86,7 @@ int main(int argc, char** argv) {
                 util::FormatDouble(pdx_ndcg_sum / queries, 3)});
 
   std::printf(
-      "\nRetrieval fidelity under privacy protection (k=%zu, engine: %zu "
-      "shard(s))\n",
-      k, fixture.config().num_shards);
+      "\nRetrieval fidelity under privacy protection (k=%zu)\n", k);
   std::printf("%s", table.ToString().c_str());
   std::printf(
       "\npaper claim check: TopPriv preserves results exactly (%zu/%zu);\n"
@@ -104,10 +100,9 @@ int main(int argc, char** argv) {
     json.Field("bench", "retrieval_fidelity");
     // Bumped when the emitted fields change; bench_compare.py warns (never
     // fails) when baseline and current disagree.
-    json.Field("schema_version", static_cast<uint64_t>(3));
+    json.Field("schema_version", static_cast<uint64_t>(4));
     json.Field("k", static_cast<uint64_t>(k));
     json.Field("num_topics", static_cast<uint64_t>(num_topics));
-    json.Field("shards", static_cast<uint64_t>(fixture.config().num_shards));
     json.Field("queries", static_cast<uint64_t>(queries));
     json.Field("toppriv_identical", static_cast<uint64_t>(toppriv_identical));
     json.Field("pdx_topk_overlap", pdx_overlap_sum / queries);

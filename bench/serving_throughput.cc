@@ -3,17 +3,15 @@
 // (the product metrics — the paper's Fig. 2d reports per-cycle generation
 // time; a deployment must also sustain many users at once).
 //
-// The grid sweeps shard count × driver threads: K ∈ {1, 2, 4} index shards
-// (K = 1 is the monolithic SearchEngine, K > 1 a driver-shared
-// LiveSearchEngine over the corpus as K sealed segments) at 1, 4 and
-// hardware-concurrency worker threads. Session digests must be identical
-// across EVERY cell — thread counts AND shard counts — which is the
-// serving-layer face of the bit-parity invariant.
+// The grid sweeps driver threads — 1, 4 and hardware concurrency — over
+// one driver-shared monolithic SearchEngine. Session digests must be
+// identical across EVERY cell, which is the serving-layer face of the
+// bit-parity invariant.
 //
 // A second, retrieval-only phase replays the raw benchmark workload
-// through each shard count's engine with no privacy layer in the loop,
-// isolating the evaluator's throughput (in the session phase, ghost
-// generation shares the wall clock and dilutes it).
+// through the same engine with no privacy layer in the loop, isolating
+// the evaluator's throughput (in the session phase, ghost generation
+// shares the wall clock and dilutes it).
 //
 // A third, mixed read/write phase runs the session fleet over a
 // LiveSearchEngine while a writer thread streams the rest of the corpus
@@ -22,7 +20,7 @@
 // corpus under live query load the static engines cannot model. Mid-run
 // results are snapshot-timing-dependent by nature, so the phase's gate is
 // CONVERGENCE: after ingest completes, a workload replay over the live
-// engine must produce the bit-identical digest of the static K=1 engine
+// engine must produce the bit-identical digest of the static engine
 // replay; a mismatch fails the binary (and with it the CI perf-smoke
 // step).
 //
@@ -66,7 +64,7 @@ namespace {
 /// Version of this binary's --json document layout. Bump when cells gain,
 /// lose or rename fields; tools/bench_compare.py warns (never fails) on
 /// skew against the committed baseline.
-constexpr uint64_t kJsonSchemaVersion = 2;
+constexpr uint64_t kJsonSchemaVersion = 3;
 
 size_t EnvSize(const char* name, size_t fallback) {
   const char* v = std::getenv(name);
@@ -81,7 +79,6 @@ size_t EnvSize(const char* name, size_t fallback) {
 constexpr char kStrategyField[] = "taat";
 
 struct ServingCell {
-  size_t shards = 0;
   size_t threads = 0;
   serving::ServingReport report;
   double generation_seconds = 0.0;
@@ -89,7 +86,6 @@ struct ServingCell {
 };
 
 struct RetrievalCell {
-  size_t shards = 0;
   size_t queries = 0;
   double wall_seconds = 0.0;
   double queries_per_second = 0.0;
@@ -98,7 +94,6 @@ struct RetrievalCell {
 
 struct LiveCell {
   size_t threads = 0;
-  size_t eval_threads = 1;
   size_t upfront_docs = 0;
   size_t streamed_docs = 0;
   double ingest_wall_seconds = 0.0;
@@ -193,109 +188,69 @@ int main(int argc, char** argv) {
   const size_t hw = util::ThreadPool::HardwareConcurrency();
   std::vector<size_t> thread_counts = {1, 4};
   if (hw != 4 && hw != 1) thread_counts.push_back(hw);
-  const std::vector<size_t> shard_counts = {1, 2, 4};
 
-  // One engine (shard fleet) per shard count, shared by every session at
-  // every driver thread count AND reused by the retrieval replay below —
-  // the deployment shape: the fleet is a server resource, sessions are
-  // traffic. TOPPRIV_SHARD_THREADS>1 additionally fans each query's
-  // segment evaluations out on the fixture's fan-out pool (stacked
-  // parallelism; digests must stay identical).
-  struct EngineCell {
-    size_t shards;
-    std::unique_ptr<search::QueryEngine> engine;
-  };
-  std::vector<EngineCell> engines;
-  for (size_t num_shards : shard_counts) {
-    engines.push_back(EngineCell{
-        num_shards, fixture.MakeEngine(search::MakeBm25Scorer(), num_shards,
-                                       fixture.config().shard_threads)});
-  }
+  // One engine, shared by every session at every driver thread count AND
+  // reused by the retrieval replay below — the deployment shape: the
+  // engine is a server resource, sessions are traffic.
+  const std::unique_ptr<search::QueryEngine> engine =
+      fixture.MakeEngine(search::MakeBm25Scorer());
 
   // ------------------------------------------------- session-driver phase --
   std::vector<ServingCell> serving_cells;
-  uint64_t reference_digest = 0;
-  bool have_reference = false;
   bool deterministic = true;
-  double base_cps = 0.0;
-  for (const EngineCell& ec : engines) {
-    for (size_t threads : thread_counts) {
-      serving::DriverOptions options;
-      options.num_threads = threads;
-      options.seed = 42;
-      serving::SessionDriver driver(model, inferencer, *ec.engine, options);
+  for (size_t threads : thread_counts) {
+    serving::DriverOptions options;
+    options.num_threads = threads;
+    options.seed = 42;
+    serving::SessionDriver driver(model, inferencer, *engine, options);
 
-      ServingCell cell;
-      cell.shards = ec.shards;
-      cell.threads = threads;
-      cell.report = driver.Run(sessions);
-      for (const serving::SessionStats& s : cell.report.sessions) {
-        cell.digest ^= s.digest;
-        cell.generation_seconds += s.generation_seconds;
-      }
-      if (!have_reference) {
-        reference_digest = cell.digest;
-        have_reference = true;
-        base_cps = cell.report.cycles_per_second;
-      } else if (cell.digest != reference_digest) {
-        deterministic = false;
-      }
-      serving_cells.push_back(std::move(cell));
+    ServingCell cell;
+    cell.threads = threads;
+    cell.report = driver.Run(sessions);
+    for (const serving::SessionStats& s : cell.report.sessions) {
+      cell.digest ^= s.digest;
+      cell.generation_seconds += s.generation_seconds;
     }
+    if (!serving_cells.empty() && cell.digest != serving_cells[0].digest) {
+      deterministic = false;
+    }
+    serving_cells.push_back(std::move(cell));
   }
+  const double base_cps = serving_cells[0].report.cycles_per_second;
 
   // ---------------------------------------------- retrieval-only replay --
   const size_t reps =
       std::max<size_t>(1, eval_target / std::max<size_t>(1, workload.size()));
-  std::vector<RetrievalCell> retrieval_cells;
-  uint64_t eval_reference = 0;
-  bool have_eval_reference = false;
-  for (const EngineCell& ec : engines) {
-    RetrievalCell cell;
-    cell.shards = ec.shards;
+  RetrievalCell retrieval;
+  // The first pass's digest is what the live phase must converge to.
+  uint64_t want_digest = 0;
+  {
     uint64_t digest = util::kFnv1aOffsetBasis;
     util::WallTimer timer;
     for (size_t r = 0; r < reps; ++r) {
       for (const corpus::BenchmarkQuery& q : workload) {
-        std::vector<search::ScoredDoc> results =
-            ec.engine->Evaluate(q.term_ids, 10);
-        // Digest every pass identically so reps do not mask divergence.
-        digest = HashResults(digest, results);
-        ++cell.queries;
+        digest = HashResults(digest, engine->Evaluate(q.term_ids, 10));
+        ++retrieval.queries;
       }
+      if (r == 0) want_digest = digest;
     }
-    cell.wall_seconds = timer.ElapsedSeconds();
-    cell.digest = digest;
-    cell.queries_per_second =
-        cell.wall_seconds > 0.0
-            ? static_cast<double>(cell.queries) / cell.wall_seconds
+    retrieval.wall_seconds = timer.ElapsedSeconds();
+    retrieval.digest = digest;
+    retrieval.queries_per_second =
+        retrieval.wall_seconds > 0.0
+            ? static_cast<double>(retrieval.queries) / retrieval.wall_seconds
             : 0.0;
-    if (!have_eval_reference) {
-      eval_reference = digest;
-      have_eval_reference = true;
-    } else if (digest != eval_reference) {
-      deterministic = false;
-    }
-    retrieval_cells.push_back(cell);
   }
 
   // ---------------------------------------------- mixed read/write phase --
   // Sessions serve over a LiveSearchEngine while a writer streams the
   // remaining corpus in; background merges run on a shared two-worker
   // pool. After convergence the live replay digest must equal the static
-  // K=1 replay digest, bit for bit.
+  // engine's replay digest, bit for bit.
   const double upfront_fraction = fixture.config().live_ingest_upfront;
   const size_t corpus_docs = fixture.corpus().num_documents();
   std::vector<LiveCell> live_cells;
   bool live_parity = true;
-  // engines[0] is the K=1 engine.
-  uint64_t want_digest = util::kFnv1aOffsetBasis;
-  for (const corpus::BenchmarkQuery& q : workload) {
-    want_digest =
-        HashResults(want_digest, engines[0].engine->Evaluate(q.term_ids, 10));
-  }
-  size_t eval_threads = fixture.config().shard_threads;
-  if (eval_threads == 0) eval_threads = hw;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     util::ThreadPool merge_pool(2);
     index::live::LiveIndexOptions live_options;
@@ -303,29 +258,18 @@ int main(int argc, char** argv) {
     live_options.merge_pool = &merge_pool;
     std::unique_ptr<index::live::LiveIndex> live =
         fixture.MakeLiveIndex(upfront_fraction, live_options);
-    // The engine's per-query segment fan-out needs its own pool: driver
-    // workers BLOCK inside ParallelFor, so handing them the driver's (or
-    // merge) pool would deadlock. Declared before the engine so it
-    // outlives it. Parity is unaffected — the fan-out is bit-identical
-    // to the sequential scatter by the determinism argument in
-    // live_engine.h, and the convergence digest below proves it per run.
-    std::unique_ptr<util::ThreadPool> eval_pool;
-    if (eval_threads > 1) {
-      eval_pool = std::make_unique<util::ThreadPool>(eval_threads);
-    }
-    search::LiveSearchEngine engine(fixture.corpus(), *live,
-                                    search::MakeBm25Scorer(), eval_pool.get());
+    search::LiveSearchEngine live_engine(fixture.corpus(), *live,
+                                         search::MakeBm25Scorer());
 
     LiveCell cell;
     cell.threads = threads;
-    cell.eval_threads = eval_threads;
     cell.upfront_docs = live->Acquire()->num_documents();
     cell.streamed_docs = corpus_docs - cell.upfront_docs;
 
     serving::DriverOptions options;
     options.num_threads = threads;
     options.seed = 42;
-    serving::SessionDriver driver(model, inferencer, engine, options);
+    serving::SessionDriver driver(model, inferencer, live_engine, options);
 
     std::thread writer([&] {
       util::WallTimer ingest_timer;
@@ -346,7 +290,8 @@ int main(int argc, char** argv) {
 
     uint64_t got_digest = util::kFnv1aOffsetBasis;
     for (const corpus::BenchmarkQuery& q : workload) {
-      got_digest = HashResults(got_digest, engine.Evaluate(q.term_ids, 10));
+      got_digest =
+          HashResults(got_digest, live_engine.Evaluate(q.term_ids, 10));
     }
     cell.parity_with_static = got_digest == want_digest;
     live_parity = live_parity && cell.parity_with_static;
@@ -354,7 +299,7 @@ int main(int argc, char** argv) {
   }
 
   // --------------------------------------------------- open-loop phase --
-  // Arrival-driven load against the K=1 engine at 4 driver threads. Rates
+  // Arrival-driven load against the static engine at 4 driver threads. Rates
   // are set RELATIVE to the closed-loop capacity measured above (same
   // machine, same run), so "under" genuinely underloads and "over"
   // genuinely overloads on any hardware: under 0.5x capacity nothing should
@@ -365,15 +310,14 @@ int main(int argc, char** argv) {
   std::vector<OpenLoopCell> open_loop_cells;
   double capacity = 0.0;
   for (const ServingCell& c : serving_cells) {
-    if (c.shards == 1 && c.threads == 4) capacity = c.report.cycles_per_second;
+    if (c.threads == 4) capacity = c.report.cycles_per_second;
   }
   {
     const double base_rate = capacity > 0.0 ? capacity : 50.0;
     serving::DriverOptions options;
     options.num_threads = 4;
     options.seed = 42;
-    serving::SessionDriver driver(model, inferencer, *engines[0].engine,
-                                  options);
+    serving::SessionDriver driver(model, inferencer, *engine, options);
     for (const bool overload : {false, true}) {
       serving::OpenLoopOptions open;
       open.arrival_qps = overload ? 4.0 * base_rate : 0.5 * base_rate;
@@ -391,12 +335,12 @@ int main(int argc, char** argv) {
   }
 
   // ------------------------------------------------------------- reports --
-  util::TablePrinter table({"shards", "threads", "sessions",
-                            "cycles", "queries", "wall(s)", "cycles/s",
-                            "queries/s", "gen_ms/cyc", "speedup"});
+  util::TablePrinter table({"threads", "sessions", "cycles", "queries",
+                            "wall(s)", "cycles/s", "queries/s", "gen_ms/cyc",
+                            "speedup"});
   for (const ServingCell& cell : serving_cells) {
     table.AddRow(
-        {std::to_string(cell.shards), std::to_string(cell.threads),
+        {std::to_string(cell.threads),
          std::to_string(cell.report.sessions.size()),
          std::to_string(cell.report.total_cycles),
          std::to_string(cell.report.total_queries),
@@ -416,26 +360,18 @@ int main(int argc, char** argv) {
              "x"});
   }
 
-  util::TablePrinter eval_table(
-      {"shards", "queries", "wall(s)", "eval_queries/s", "vs_K1"});
-  const double k1_qps = retrieval_cells[0].queries_per_second;
-  for (const RetrievalCell& cell : retrieval_cells) {
-    eval_table.AddRow(
-        {std::to_string(cell.shards), std::to_string(cell.queries),
-         util::FormatDouble(cell.wall_seconds, 2),
-         util::FormatDouble(cell.queries_per_second, 1),
-         util::FormatDouble(
-             k1_qps > 0.0 ? cell.queries_per_second / k1_qps : 0.0, 2) +
-             "x"});
-  }
+  util::TablePrinter eval_table({"queries", "wall(s)", "eval_queries/s"});
+  eval_table.AddRow({std::to_string(retrieval.queries),
+                     util::FormatDouble(retrieval.wall_seconds, 2),
+                     util::FormatDouble(retrieval.queries_per_second, 1)});
 
-  util::TablePrinter live_table({"threads", "eval_thr", "upfront", "streamed",
+  util::TablePrinter live_table({"threads", "upfront", "streamed",
                                  "ingest_docs/s", "cycles/s", "queries/s",
                                  "segments", "parity"});
   for (const LiveCell& cell : live_cells) {
     live_table.AddRow(
-        {std::to_string(cell.threads), std::to_string(cell.eval_threads),
-         std::to_string(cell.upfront_docs), std::to_string(cell.streamed_docs),
+        {std::to_string(cell.threads), std::to_string(cell.upfront_docs),
+         std::to_string(cell.streamed_docs),
          util::FormatDouble(cell.ingest_docs_per_second, 1),
          util::FormatDouble(cell.report.cycles_per_second, 1),
          util::FormatDouble(cell.report.queries_per_second, 1),
@@ -453,7 +389,7 @@ int main(int argc, char** argv) {
   std::printf(
       "\nMixed read/write phase (live ingest, %.0f%% up-front, batch 32,\n"
       "background merges on 2 workers; parity = post-convergence replay\n"
-      "digest equals the static K=1 engine's)\n",
+      "digest equals the static engine's)\n",
       100.0 * upfront_fraction);
   std::printf("%s", live_table.ToString().c_str());
   util::TablePrinter open_table({"load", "arrival/s", "arrivals", "shed",
@@ -473,22 +409,22 @@ int main(int argc, char** argv) {
          std::to_string(cell.report.peak_queue_depth)});
   }
   std::printf(
-      "\nOpen-loop phase (K=1, 4 threads; Poisson arrivals at 0.5x and 4x\n"
-      "the measured closed-loop capacity; admission gate 4 in-flight + 8\n"
-      "queued, degraded-mode watermark 0.75 — past it, cycles shed ghost\n"
-      "CACHE REFRESH, never ghost emission)\n");
+      "\nOpen-loop phase (static engine, 4 threads; Poisson arrivals at 0.5x\n"
+      "and 4x the measured closed-loop capacity; admission gate 4 in-flight\n"
+      "+ 8 queued, degraded-mode watermark 0.75 — past it, cycles shed\n"
+      "ghost CACHE REFRESH, never ghost emission)\n");
   std::printf("%s", open_table.ToString().c_str());
 
   std::printf(
-      "\nsession+retrieval digests identical across shard AND thread counts: "
-      "%s\nstatic-vs-live convergence digest parity: %s\n"
+      "\nsession digests identical across thread counts: %s\n"
+      "static-vs-live convergence digest parity: %s\n"
       "\npaper claims to check: Fig. 2d puts per-cycle generation around a\n"
       "second at full scale on 2008-era hardware; the serving target here is\n"
       ">=2x cycles/s at 4 threads vs 1 (needs a >=4-core machine — sessions\n"
       "are embarrassingly parallel, so scaling is linear until the memory\n"
-      "bus saturates). Neither sharding nor LIVE INGEST may change a single\n"
-      "result bit: the digest checks above ARE the paper's no-fidelity-loss\n"
-      "invariant, held across the distribution boundary and the\n"
+      "bus saturates). Neither concurrency nor LIVE INGEST may change a\n"
+      "single result bit: the digest checks above ARE the paper's\n"
+      "no-fidelity-loss invariant, held across the driver's threads and the\n"
       "segment/merge/snapshot machinery.\n",
       deterministic ? "yes" : "NO (bug!)",
       live_parity ? "yes" : "NO (bug!)");
@@ -509,7 +445,6 @@ int main(int argc, char** argv) {
     for (const ServingCell& cell : serving_cells) {
       json.BeginObject();
       json.Field("strategy", kStrategyField);
-      json.Field("shards", static_cast<uint64_t>(cell.shards));
       json.Field("threads", static_cast<uint64_t>(cell.threads));
       json.Field("sessions",
                  static_cast<uint64_t>(cell.report.sessions.size()));
@@ -531,18 +466,15 @@ int main(int argc, char** argv) {
     json.EndArray();
     json.Key("retrieval_cells");
     json.BeginArray();
-    for (const RetrievalCell& cell : retrieval_cells) {
-      json.BeginObject();
-      json.Field("strategy", kStrategyField);
-      json.Field("shards", static_cast<uint64_t>(cell.shards));
-      json.Field("queries", static_cast<uint64_t>(cell.queries));
-      json.Field("wall_seconds", cell.wall_seconds);
-      json.Field("queries_per_second", cell.queries_per_second);
-      json.Field("digest", util::StrFormat("%016llx",
-                                           static_cast<unsigned long long>(
-                                               cell.digest)));
-      json.EndObject();
-    }
+    json.BeginObject();
+    json.Field("strategy", kStrategyField);
+    json.Field("queries", static_cast<uint64_t>(retrieval.queries));
+    json.Field("wall_seconds", retrieval.wall_seconds);
+    json.Field("queries_per_second", retrieval.queries_per_second);
+    json.Field("digest", util::StrFormat("%016llx",
+                                         static_cast<unsigned long long>(
+                                             retrieval.digest)));
+    json.EndObject();
     json.EndArray();
     json.Key("live_cells");
     json.BeginArray();
@@ -550,7 +482,6 @@ int main(int argc, char** argv) {
       json.BeginObject();
       json.Field("strategy", kStrategyField);
       json.Field("threads", static_cast<uint64_t>(cell.threads));
-      json.Field("eval_threads", static_cast<uint64_t>(cell.eval_threads));
       json.Field("upfront_docs", static_cast<uint64_t>(cell.upfront_docs));
       json.Field("streamed_docs", static_cast<uint64_t>(cell.streamed_docs));
       json.Field("ingest_wall_seconds", cell.ingest_wall_seconds);

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "search/live_engine.h"
 #include "util/check.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
@@ -81,8 +80,6 @@ FixtureConfig FixtureConfig::FromEnv() {
   config.workload_params.num_queries = EnvSize("TOPPRIV_QUERIES", 150);
   config.lda_iterations = EnvSize("TOPPRIV_LDA_ITERS", 100);
   config.cache_dir = EnvString("TOPPRIV_CACHE_DIR", ".toppriv_cache");
-  config.num_shards = EnvSize("TOPPRIV_SHARDS", 1);
-  config.shard_threads = EnvSize("TOPPRIV_SHARD_THREADS", 1);
   config.live_ingest_upfront = EnvFraction("TOPPRIV_LIVE_INGEST", 0.5);
   config.durability = EnvDurability("TOPPRIV_DURABILITY");
   return config;
@@ -94,30 +91,11 @@ const std::vector<size_t>& PaperModelSizes() {
   return *kSizes;
 }
 
-std::unique_ptr<index::live::LiveIndex> BuildSegmentedIndex(
-    const corpus::Corpus& corpus, size_t num_segments) {
-  TOPPRIV_CHECK_GE(num_segments, 1u);
-  const size_t n = corpus.num_documents();
-  index::live::LiveIndexOptions options;
-  options.max_writer_docs =
-      std::max<size_t>(1, (n + num_segments - 1) / num_segments);
-  options.merge_factor = num_segments + 1;
-  auto live = std::make_unique<index::live::LiveIndex>(options);
-  live->EnsureTermSpace(corpus.vocabulary_size());
-  for (size_t s = 0; s < num_segments; ++s) {
-    // One batch per range, published (sealed) on its own: each non-empty
-    // range becomes exactly one segment.
-    const size_t begin = n * s / num_segments;
-    const size_t end = n * (s + 1) / num_segments;
-    index::live::StreamCorpus(corpus, begin, end,
-                              std::max<size_t>(1, end - begin), live.get());
-  }
-  live->Refresh();
-  return live;
-}
-
 ExperimentFixture::ExperimentFixture(FixtureConfig config)
-    : config_(std::move(config)) {}
+    : config_(std::move(config)) {
+  TOPPRIV_CHECK_EQ(config_.num_shards, 1u);
+  TOPPRIV_CHECK_EQ(config_.shard_threads, 1u);
+}
 
 void ExperimentFixture::EnsureCorpus() {
   if (corpus_ != nullptr) return;
@@ -193,35 +171,16 @@ std::unique_ptr<index::live::LiveIndex> ExperimentFixture::MakeLiveIndex(
 }
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
-    std::unique_ptr<search::Scorer> scorer, size_t num_shards,
-    size_t shard_threads, std::optional<search::EvalStrategy> /*strategy*/) {
-  if (num_shards <= 1) {
-    return std::make_unique<search::SearchEngine>(corpus(), index(),
-                                                  std::move(scorer));
-  }
-  std::unique_ptr<index::live::LiveIndex>& segmented = segmented_[num_shards];
-  if (segmented == nullptr) {
-    segmented = BuildSegmentedIndex(corpus(), num_shards);
-  }
-  if (shard_threads == 0) {
-    shard_threads = util::ThreadPool::HardwareConcurrency();
-  }
-  util::ThreadPool* pool = nullptr;
-  if (shard_threads > 1) {
-    std::unique_ptr<util::ThreadPool>& owned = fanout_pools_[shard_threads];
-    if (owned == nullptr) {
-      owned = std::make_unique<util::ThreadPool>(shard_threads);
-    }
-    pool = owned.get();
-  }
-  return std::make_unique<search::LiveSearchEngine>(
-      corpus(), *segmented, std::move(scorer), pool);
+    std::unique_ptr<search::Scorer> scorer) {
+  return std::make_unique<search::SearchEngine>(corpus(), index(),
+                                                std::move(scorer));
 }
 
 std::unique_ptr<search::QueryEngine> ExperimentFixture::MakeEngine(
-    std::unique_ptr<search::Scorer> scorer) {
-  return MakeEngine(std::move(scorer), config_.num_shards,
-                    config_.shard_threads);
+    std::unique_ptr<search::Scorer> scorer, size_t num_shards,
+    size_t shard_threads, std::optional<search::EvalStrategy> /*strategy*/) {
+  TOPPRIV_CHECK(num_shards == 1 && shard_threads == 1);
+  return MakeEngine(std::move(scorer));
 }
 
 std::string ModelCachePath(const std::string& cache_dir,

@@ -10,12 +10,6 @@
 //   TOPPRIV_QUERIES     workload size             (default 150, as the paper)
 //   TOPPRIV_LDA_ITERS   Gibbs sweeps              (default 100)
 //   TOPPRIV_CACHE_DIR   LDA model cache directory (default .toppriv_cache)
-//   TOPPRIV_SHARDS      index shards for MakeEngine (default 1 =
-//                          monolithic SearchEngine; K > 1 = the corpus as K
-//                          sealed segments served by LiveSearchEngine)
-//   TOPPRIV_SHARD_THREADS  per-query segment fan-out threads, for sharded
-//                          MakeEngine engines and the live serving phase
-//                          (default 1 = sequential scatter)
 //   TOPPRIV_LIVE_INGEST fraction of the corpus ingested up-front into a
 //                          MakeLiveIndex live index (default 0.5); the
 //                          rest streams in during the serving run
@@ -43,7 +37,6 @@
 #include "search/scorer.h"
 #include "topicmodel/gibbs_trainer.h"
 #include "topicmodel/lda_model.h"
-#include "util/thread_pool.h"
 
 namespace toppriv::experiments {
 
@@ -53,13 +46,9 @@ struct FixtureConfig {
   corpus::WorkloadParams workload_params;
   size_t lda_iterations = 100;
   std::string cache_dir = ".toppriv_cache";
-  /// Index shards MakeEngine uses; 1 builds the monolithic SearchEngine,
-  /// K > 1 a LiveSearchEngine over the corpus as K sealed segments.
+  /// Always 1; ExperimentFixture's constructor checks both. Kept only for
+  /// perfbench/, which sets them; remove them with that use.
   size_t num_shards = 1;
-  /// Per-query segment fan-out threads: MakeEngine's sharded engines and
-  /// the serving bench's live phase size their eval pool from this (1 =
-  /// sequential scatter on the caller's thread; 0 = hardware concurrency).
-  /// The pool must be distinct from any pool whose workers issue queries.
   size_t shard_threads = 1;
   /// Always kTAAT; nothing reads it. Kept only for perfbench/, which sets
   /// it; remove in the next benchmark PR.
@@ -99,16 +88,6 @@ std::string ModelCachePath(const std::string& cache_dir,
                            size_t lda_iterations, size_t num_topics,
                            uint64_t version);
 
-/// An in-memory LiveIndex holding `corpus` as min(num_segments, N) sealed
-/// segments over the contiguous near-equal doc ranges [N*s/K, N*(s+1)/K)
-/// — the static K-shard partition. Built with max_writer_docs = ceil(N/K)
-/// and merge_factor = K + 1, so no merge ever collapses the partition.
-/// Dense ids equal corpus doc ids, and the term space is synced to the
-/// corpus vocabulary, so a LiveSearchEngine over it is bit-identical to
-/// the monolithic SearchEngine (tests/sharding_test.cc).
-std::unique_ptr<index::live::LiveIndex> BuildSegmentedIndex(
-    const corpus::Corpus& corpus, size_t num_segments);
-
 /// Lazily-constructed experiment state. Everything is deterministic given
 /// the config; LDA models are additionally cached on disk because training
 /// dominates setup time.
@@ -141,26 +120,16 @@ class ExperimentFixture {
       double upfront_fraction,
       index::live::LiveIndexOptions options = index::live::LiveIndexOptions());
 
-  /// Builds a query engine over the fixture corpus: the monolithic
-  /// SearchEngine when `num_shards` <= 1, otherwise a LiveSearchEngine
-  /// over a fixture-owned BuildSegmentedIndex(corpus, num_shards) (cached
-  /// per shard count, never written, in memory even under
-  /// TOPPRIV_DURABILITY) fanning out on a fixture-owned pool of
-  /// `shard_threads` workers (1 = sequential scatter; 0 = hardware
-  /// concurrency). The engine borrows fixture state, so the fixture must
-  /// outlive it.
-  /// Every figure bench that takes its engine from here runs sharded by
-  /// setting TOPPRIV_SHARDS — results are identical by the parity
-  /// contract, so the figures are architecture-independent. `strategy` is
-  /// ignored (TAAT is the only evaluator); kept only for perfbench/, which
-  /// passes it; remove in the next benchmark PR.
-  std::unique_ptr<search::QueryEngine> MakeEngine(
-      std::unique_ptr<search::Scorer> scorer, size_t num_shards,
-      size_t shard_threads = 1,
-      std::optional<search::EvalStrategy> strategy = std::nullopt);
-  /// Same, with the shard count from the config (TOPPRIV_SHARDS).
+  /// The monolithic SearchEngine over the fixture corpus and index(). The
+  /// engine borrows fixture state, so the fixture must outlive it.
   std::unique_ptr<search::QueryEngine> MakeEngine(
       std::unique_ptr<search::Scorer> scorer);
+  /// Same; `num_shards` and `shard_threads` must be 1 and `strategy` is
+  /// ignored. Kept only for perfbench/, which calls it; remove it with that
+  /// call.
+  std::unique_ptr<search::QueryEngine> MakeEngine(
+      std::unique_ptr<search::Scorer> scorer, size_t num_shards,
+      size_t shard_threads, std::optional<search::EvalStrategy> strategy);
 
   /// Human-readable model name, e.g. "LDA200".
   static std::string ModelName(size_t num_topics);
@@ -173,10 +142,6 @@ class ExperimentFixture {
   corpus::GroundTruthModel ground_truth_;
   std::unique_ptr<std::vector<corpus::BenchmarkQuery>> workload_;
   std::unique_ptr<index::InvertedIndex> index_;
-  /// MakeEngine's K-segment indexes, by K.
-  std::map<size_t, std::unique_ptr<index::live::LiveIndex>> segmented_;
-  /// MakeEngine's segment fan-out pools, by thread count.
-  std::map<size_t, std::unique_ptr<util::ThreadPool>> fanout_pools_;
   std::map<size_t, std::unique_ptr<topicmodel::LdaModel>> models_;
 };
 

@@ -47,7 +47,6 @@ void PostingList::Builder::Append(corpus::DocId doc, uint32_t tf) {
   }
   pending_deltas_[pending_] = delta;
   pending_tfs_[pending_] = tf;
-  pending_docs_[pending_] = doc;
   ++pending_;
   last_doc_ = doc;
   ++count_;
@@ -61,8 +60,7 @@ void PostingList::Builder::FlushBlock() {
   BlockInfo info;
   info.offset = static_cast<uint32_t>(bytes_.size());
   info.count = pending_;
-  info.first_doc = pending_docs_[0];
-  info.last_doc = pending_docs_[pending_ - 1];
+  info.last_doc = last_doc_;
   // Delta group first, then the tf group: two tight homogeneous streams.
   for (uint32_t i = 0; i < pending_; ++i) {
     util::AppendVarint(pending_deltas_[i], &bytes_);
@@ -276,7 +274,6 @@ util::StatusOr<PostingList> PostingList::DecodeFrom(
           return util::Status::DataLoss("posting list body malformed");
         }
         TOPPRIV_RETURN_IF_ERROR(check.CheckDelta(delta));
-        if (i == 0) info.first_doc = static_cast<corpus::DocId>(check.doc);
       }
       info.last_doc = static_cast<corpus::DocId>(check.doc);
       for (uint32_t i = 0; i < n; ++i) {

@@ -13,8 +13,8 @@
 // the very first delta of the list is the absolute doc id — so ByteSize()
 // is byte-for-byte the classic interleaved delta+varint size the paper's
 // Fig. 6 / §II arithmetic (and IndexSnapshot::ComputeStats's cross-segment
-// re-pricing) assume. A per-block directory carries each block's first and
-// last doc id (forward skipping without decoding).
+// re-pricing) assume. A per-block directory carries each block's offset,
+// count and last doc id, the base of the next block's delta chain.
 #ifndef TOPPRIV_INDEX_POSTING_LIST_H_
 #define TOPPRIV_INDEX_POSTING_LIST_H_
 
@@ -60,12 +60,11 @@ struct PostingBlock {
 class PostingList {
  public:
   /// Per-block directory entry. `offset` points at the block's delta group
-  /// inside the encoded byte stream; `first_doc`/`last_doc` bound the
-  /// block's doc ids.
+  /// inside the encoded byte stream; `last_doc` is the block's last doc id,
+  /// from which DecodeBlock resumes the next block's delta chain.
   struct BlockInfo {
     uint32_t offset = 0;
     uint32_t count = 0;
-    corpus::DocId first_doc = 0;
     corpus::DocId last_doc = 0;
   };
 
@@ -90,14 +89,12 @@ class PostingList {
     // Pending (not yet flushed) block.
     std::array<uint64_t, kPostingBlockSize> pending_deltas_;
     std::array<uint32_t, kPostingBlockSize> pending_tfs_;
-    std::array<corpus::DocId, kPostingBlockSize> pending_docs_;
     uint32_t pending_ = 0;
   };
 
   /// Forward iterator over decoded postings. Batch-decodes one block at a
-  /// time into an internal PostingBlock; kept for term-at-a-time callers
-  /// and stats walks. Evaluators that skip should use the block directory
-  /// plus DecodeBlock directly.
+  /// time into an internal PostingBlock. Segment merges and stats walks
+  /// use it; the evaluation core calls DecodeBlock directly.
   class Iterator {
    public:
     explicit Iterator(const PostingList* list);

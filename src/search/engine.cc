@@ -39,17 +39,15 @@ std::vector<QueryTerm> CollapseQuery(const std::vector<text::TermId>& terms) {
 }
 
 /// The evaluation core, a template over the scorer's class. AccumulateTopK
-/// dispatches into it once per call through VisitScorer, so for a final
-/// built-in scorer every per-posting and per-document call inlines; a
-/// scorer defined elsewhere instantiates the same body over the base
-/// class. A friend of EvalScratch.
+/// dispatches into it once per call through VisitScorer, so every
+/// per-posting and per-document call inlines. A friend of EvalScratch.
 class EvalKernel {
  public:
   /// Scorer::LengthPart for every length 0..index.max_doc_length(),
   /// indexed by length. Served from `scratch` while its key matches
   /// scorer.length_key(stats); otherwise rebuilt. Entries are a pure
   /// function of (key, length), so growing a matching table for a longer
-  /// index only appends.
+  /// index only appends (and a fresh scratch's empty table matches any).
   template <typename S>
   static const double* LengthParts(const S& scorer,
                                    const CollectionStats& stats,
@@ -57,8 +55,7 @@ class EvalKernel {
                                    EvalScratch* scratch) {
     const LengthKey key = scorer.length_key(stats);
     std::vector<double>& table = scratch->length_parts_;
-    if (!key.cacheable || !scratch->length_key_.cacheable ||
-        key.bits != scratch->length_key_.bits) {
+    if (key.bits != scratch->length_key_.bits) {
       table.clear();
       scratch->length_key_ = key;
     }

@@ -160,18 +160,17 @@ class QueryLog {
 /// Per-call knobs for the failure-aware evaluation entry point.
 struct QueryOptions {
   /// Cooperative deadline/cancellation, polled at block-decode granularity
-  /// inside the eval cores and across the segment fan-out. Null = none.
-  /// The Deadline's cancel flag is shared across the whole fan-out, so one
-  /// expiry observation stops every sibling segment.
+  /// inside the eval cores and across the segment scatter. Null = none.
+  /// The Deadline's cancel flag is sticky, so one expiry observation stops
+  /// every later segment.
   const util::Deadline* deadline = nullptr;
 };
 
 /// Abstract ranked-retrieval engine: what the privacy layer (TrustedClient,
 /// SessionProtector) and the serving driver program against. Implemented by
-/// the monolithic SearchEngine and by LiveSearchEngine, which serves both a
-/// live index and a static K-segment partition; the sharding and live
-/// parity suites prove the two are interchangeable bit for bit, so every
-/// layer above can swap one for the other freely.
+/// the monolithic SearchEngine and by LiveSearchEngine, which serves a live
+/// index; the live parity suite proves the two interchangeable bit for
+/// bit, so every layer above can swap one for the other freely.
 class QueryEngine {
  public:
   virtual ~QueryEngine() = default;
@@ -193,7 +192,7 @@ class QueryEngine {
   /// kDeadlineExceeded and its partial work is discarded, never surfaced.
   /// The base implementation brackets Evaluate with expiry checks (coarse:
   /// a stuck engine still runs to completion); the real engines override
-  /// it to poll inside the eval cores and across the segment fan-out, so a
+  /// it to poll inside the eval cores and across the segment scatter, so a
   /// wedged segment costs at most one block decode past the deadline.
   virtual util::StatusOr<std::vector<ScoredDoc>> EvaluateWithOptions(
       const std::vector<text::TermId>& terms, size_t k,

@@ -10,12 +10,8 @@ namespace toppriv::search {
 
 LiveSearchEngine::LiveSearchEngine(const corpus::Corpus& corpus,
                                    index::live::LiveIndex& live,
-                                   std::unique_ptr<Scorer> scorer,
-                                   util::ThreadPool* eval_pool)
-    : corpus_(corpus),
-      live_(live),
-      scorer_(std::move(scorer)),
-      eval_pool_(eval_pool) {
+                                   std::unique_ptr<Scorer> scorer)
+    : corpus_(corpus), live_(live), scorer_(std::move(scorer)) {
   TOPPRIV_CHECK(scorer_ != nullptr);
 }
 
@@ -68,37 +64,21 @@ std::vector<ScoredDoc> LiveSearchEngine::EvaluateOn(
   stats.avg_doc_length = snapshot.avg_doc_length();
   stats.total_tokens = snapshot.total_tokens();
 
-  // Scatter over the segments — sequentially, or fanned out on the
-  // borrowed pool. Either way each iteration fills only its own slot with
-  // its own thread-local scratch, and the merge below walks the slots in
-  // segment order on this thread, so results are bit-identical across
-  // thread counts (see file comment).
+  // Scatter over the segments in order, lifting each one's local ids
+  // into the snapshot's dense space as its results are merged: the global
+  // top-k is a subset of the union of per-segment top-k lists.
   const size_t n = snapshot.num_segments();
-  std::vector<std::vector<ScoredDoc>> per_segment(n);
   TOPPRIV_TRACE_SPAN(fanout_span, "search.segment_fanout");
   TOPPRIV_SCOPED_TIMER_US("search.segment_fanout_us");
   TOPPRIV_HISTOGRAM_OBSERVE("search.segment_fanout_width", n,
                             util::CountBuckets());
-  const auto eval_segment = [&](size_t s) {
-    static thread_local EvalScratch scratch;
-    const index::live::SnapshotSegment& ss = snapshot.segment(s);
-    per_segment[s] =
-        AccumulateTopK(ss.segment->index(), stats, *scorer_, query, dfs, k,
-                       &scratch, ss.deleted.get(), deadline);
-  };
-  if (eval_pool_ != nullptr && n > 1) {
-    eval_pool_->ParallelFor(n, eval_segment);
-  } else {
-    for (size_t s = 0; s < n; ++s) eval_segment(s);
-  }
-
-  // Deterministic gather: lift local ids into the snapshot's dense space
-  // in segment order; the global top-k is a subset of the union of
-  // per-segment top-k lists.
+  static thread_local EvalScratch scratch;
   TopK merged(k);
   for (size_t s = 0; s < n; ++s) {
     const index::live::SnapshotSegment& ss = snapshot.segment(s);
-    for (const ScoredDoc& sd : per_segment[s]) {
+    for (const ScoredDoc& sd :
+         AccumulateTopK(ss.segment->index(), stats, *scorer_, query, dfs, k,
+                        &scratch, ss.deleted.get(), deadline)) {
       merged.Offer(ss.DenseId(sd.doc), sd.score);
     }
   }

@@ -20,7 +20,6 @@ uint64_t Bits(double v) {
 LengthKey Scorer::MakeLengthKey(double p0, double p1,
                                 const CollectionStats& stats) const {
   LengthKey key;
-  key.cacheable = kind_ != Kind::kCustom;
   key.bits = {static_cast<uint64_t>(kind_), Bits(p0), Bits(p1),
               Bits(stats.avg_doc_length)};
   return key;

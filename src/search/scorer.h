@@ -5,9 +5,9 @@
 // smoothed query-likelihood scorer so the substrate matches what enterprise
 // engines actually run. Scorers are stateless w.r.t. queries and consume
 // COLLECTION-level statistics only, passed explicitly as a CollectionStats:
-// with a sharded index each shard scores against the global statistics
-// (distributed-IR "global IDF"), which is what keeps sharded rankings
-// bit-identical to the monolithic engine's.
+// with a multi-segment live index each segment scores against the global
+// statistics (distributed-IR "global IDF"), which is what keeps its
+// rankings bit-identical to the monolithic engine's.
 #ifndef TOPPRIV_SEARCH_SCORER_H_
 #define TOPPRIV_SEARCH_SCORER_H_
 
@@ -18,12 +18,13 @@
 #include <string>
 
 #include "index/inverted_index.h"
+#include "util/check.h"
 
 namespace toppriv::search {
 
 /// Collection-wide statistics a scorer consumes. For a monolithic index
-/// these mirror the index's own accessors; for a sharded index they are the
-/// manifest's aggregates over every shard.
+/// these mirror the index's own accessors; for a live index they are the
+/// snapshot's aggregates over every segment.
 struct CollectionStats {
   size_t num_documents = 0;
   double avg_doc_length = 0.0;
@@ -57,9 +58,6 @@ struct PreparedTerm {
 /// scorer whose address is reused can never be served a stale one (which a
 /// key by scorer pointer would allow).
 struct LengthKey {
-  /// False for a scorer whose parameters the key cannot see
-  /// (Scorer::Kind::kCustom): a table for it is rebuilt on every use.
-  bool cacheable = false;
   /// Kind, two parameters, avg_doc_length.
   std::array<uint64_t, 4> bits{};
 };
@@ -76,15 +74,14 @@ struct LengthKey {
 /// composes them, which makes it equal to the evaluators' path by
 /// construction.
 ///
-/// The three scorers below are final and define their per-posting methods
-/// in this header: an evaluator dispatches once per call (VisitScorer) into
-/// a template over the concrete class, where those calls inline. Any other
-/// subclass is evaluated through the same template over the base class,
-/// with virtual calls.
+/// The set of scorers is closed: the three below are final, define their
+/// per-posting methods in this header, and are the only classes that can
+/// construct the base. An evaluator dispatches once per call (VisitScorer)
+/// into a template over the concrete class, where those calls inline.
 class Scorer {
  public:
-  /// The concrete scorers of this file; every other subclass is kCustom.
-  enum class Kind { kCustom, kTfIdfCosine, kBm25, kLmDirichlet };
+  /// The concrete scorers of this file.
+  enum class Kind { kTfIdfCosine, kBm25, kLmDirichlet };
 
   virtual ~Scorer() = default;
 
@@ -123,32 +120,26 @@ class Scorer {
     return accumulated;
   }
 
-  /// The key of a LengthPart table built from `stats`. The default is not
-  /// cacheable.
-  virtual LengthKey length_key(const CollectionStats& stats) const {
-    (void)stats;
-    return LengthKey{};
-  }
+  /// The key of a LengthPart table built from `stats`.
+  virtual LengthKey length_key(const CollectionStats& stats) const = 0;
 
   /// Scorer name for logs and benches.
   virtual std::string Name() const = 0;
 
  protected:
-  Scorer() = default;
-
   /// The key of a built-in scorer with parameters (p0, p1).
   LengthKey MakeLengthKey(double p0, double p1,
                           const CollectionStats& stats) const;
 
  private:
-  // Only the final classes below may claim a kind other than kCustom, so
-  // VisitScorer's static_casts are always to the object's real class.
+  // Only the final classes below can construct a Scorer, so VisitScorer's
+  // static_casts are always to the object's real class.
   friend class TfIdfCosineScorer;
   friend class Bm25Scorer;
   friend class LmDirichletScorer;
   explicit Scorer(Kind kind) : kind_(kind) {}
 
-  const Kind kind_ = Kind::kCustom;
+  const Kind kind_;
 };
 
 /// Classic lnc.ltc-style TF-IDF with cosine length normalization
@@ -258,9 +249,7 @@ class LmDirichletScorer final : public Scorer {
 
 /// Calls `fn` with `scorer` as its concrete class: the one dispatch an
 /// evaluation core pays per call, after which a template body over the
-/// (final) class inlines LengthPart, ScorePosting and Normalize. A scorer
-/// defined elsewhere arrives as the base class, so the same template body
-/// serves it with virtual calls.
+/// (final) class inlines LengthPart, ScorePosting and Normalize.
 template <typename Fn>
 decltype(auto) VisitScorer(const Scorer& scorer, Fn&& fn) {
   switch (scorer.kind()) {
@@ -269,11 +258,11 @@ decltype(auto) VisitScorer(const Scorer& scorer, Fn&& fn) {
     case Scorer::Kind::kBm25:
       return fn(static_cast<const Bm25Scorer&>(scorer));
     case Scorer::Kind::kLmDirichlet:
-      return fn(static_cast<const LmDirichletScorer&>(scorer));
-    case Scorer::Kind::kCustom:
       break;
   }
-  return fn(scorer);
+  // The set is closed, so no other kind can reach here.
+  TOPPRIV_CHECK(scorer.kind() == Scorer::Kind::kLmDirichlet);
+  return fn(static_cast<const LmDirichletScorer&>(scorer));
 }
 
 /// Factory helpers.

@@ -16,7 +16,7 @@
 //    session's generator (it must outlive them all; no lazy mutation);
 //  - search::QueryEngine::Evaluate is const and accumulates into per-thread
 //    scratch space, never into engine state (both the monolithic and the
-//    sharded engine honor this).
+//    live engine honor this).
 #ifndef TOPPRIV_SERVING_SESSION_DRIVER_H_
 #define TOPPRIV_SERVING_SESSION_DRIVER_H_
 
@@ -135,8 +135,8 @@ struct OpenLoopReport {
 };
 
 /// Runs independent TopPriv sessions concurrently over a shared engine —
-/// monolithic or sharded (a driver-owned shard fleet serves every session
-/// identically; the parity suite makes the two indistinguishable).
+/// monolithic or live (the parity suite makes the two
+/// indistinguishable).
 class SessionDriver {
  public:
   /// Borrows everything; all referents must outlive the driver.

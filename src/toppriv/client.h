@@ -27,7 +27,7 @@ struct ProtectedSearchResult {
 };
 
 /// Client-side privacy proxy in front of a query engine (monolithic or
-/// sharded — the client is agnostic, as the paper's design demands: the
+/// live — the client is agnostic, as the paper's design demands: the
 /// server side stays unmodified whatever its internal architecture).
 class TrustedClient {
  public:

@@ -5,13 +5,13 @@
 // `Clock`, so tests drive a `ManualClock` and the production paths use the
 // process-wide monotonic `Clock::Real()`. A `Deadline` is a cheap value
 // (copyable, a couple of words) that query code checks cooperatively at
-// natural preemption points — block decode, pivot advance, shard fan-out —
+// natural preemption points — block decode, segment scatter —
 // and `RetryPolicy` computes capped exponential backoff whose jitter is
 // drawn from a SEEDED Rng stream, so a retry schedule is a pure function
 // of (policy, attempt) and chaos tests replay bit-identically.
 //
 // Cancellation is sticky and shared: the first expiry check that observes
-// the deadline passed flips a shared atomic flag, so sibling shard/segment
+// the deadline passed flips a shared atomic flag, so later segment
 // evaluations sharing the same Deadline cancel on a single relaxed load
 // without ever touching the clock again. Expired() never un-expires.
 #ifndef TOPPRIV_UTIL_DEADLINE_H_
@@ -64,7 +64,7 @@ class ManualClock : public Clock {
 /// A point in time after which cooperative work should stop, plus a shared
 /// sticky cancel flag. Copies of a Deadline share the flag: once any copy
 /// observes expiry (or Cancel() is called), every copy's Expired() returns
-/// true on a single atomic load — sibling shard evaluations stop without
+/// true on a single atomic load — later segment evaluations stop without
 /// re-reading the clock.
 ///
 /// A default-constructed Deadline never expires and never reads the clock,
@@ -92,8 +92,8 @@ class Deadline {
     return true;
   }
 
-  /// Latches the shared cancel flag directly (e.g. a fan-out sibling
-  /// failed and the rest of the scatter should stop).
+  /// Latches the shared cancel flag directly (e.g. one step of a scatter
+  /// failed and the rest should stop).
   void Cancel() const { cancelled_->store(true, std::memory_order_relaxed); }
 
   /// Whether this deadline can ever expire on its own (has a clock).

@@ -40,8 +40,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   // A shared cursor instead of static chunking: workers that draw cheap
   // iterations immediately pull the next one. Completion is tracked per
   // call, not via the pool-wide Wait(): concurrent ParallelFor callers
-  // (e.g. many sessions fanning one query each over a shared shard pool)
-  // must only block on their own iterations.
+  // sharing one pool must only block on their own iterations.
   struct CallState {
     std::atomic<size_t> cursor{0};
     Mutex mu;

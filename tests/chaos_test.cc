@@ -33,19 +33,18 @@
 #include <gtest/gtest.h>
 
 #include "corpus/corpus.h"
-#include "experiments/fixture.h"
 #include "index/inverted_index.h"
 #include "index/live/live_index.h"
 #include "search/engine.h"
 #include "search/fault_injecting_engine.h"
 #include "search/live_engine.h"
 #include "search/scorer.h"
+#include "tests/test_helpers.h"
 #include "util/deadline.h"
 #include "util/filesystem.h"
 #include "util/hash.h"
 #include "util/metrics.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace toppriv {
 namespace {
@@ -201,8 +200,7 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   InvertedIndex index = InvertedIndex::Build(corpus);
   std::unique_ptr<LiveIndex> segmented =
-      experiments::BuildSegmentedIndex(corpus, 3);
-  util::ThreadPool fanout_pool(2);
+      toppriv::testing::SegmentedIndex(corpus, 3);
   LiveIndex live{LiveIndexOptions()};
   live.EnsureTermSpace(corpus.vocabulary().size());
   for (size_t d = 0; d < corpus.num_documents(); ++d) {
@@ -211,9 +209,9 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   live.Refresh();
 
   search::SearchEngine mono(corpus, index, search::MakeBm25Scorer());
-  // Three sealed segments fanned out on two workers: the sharded shape.
-  search::LiveSearchEngine fanout(corpus, *segmented, search::MakeBm25Scorer(),
-                                  &fanout_pool);
+  // Three sealed segments, scattered in turn.
+  search::LiveSearchEngine segments(corpus, *segmented,
+                                    search::MakeBm25Scorer());
   search::LiveSearchEngine over_live(corpus, live, search::MakeBm25Scorer());
   ManualClock clock;
   Deadline dead = Deadline::After(0.001, &clock);
@@ -222,15 +220,15 @@ TEST(ChaosEngineTest, ExpiredDeadlineRejectsAcrossEveryEngineShape) {
   options.deadline = &dead;
   const Doc query = {0, 1};
   for (search::QueryEngine* engine :
-       std::initializer_list<search::QueryEngine*>{&mono, &fanout,
+       std::initializer_list<search::QueryEngine*>{&mono, &segments,
                                                    &over_live}) {
     auto result = engine->EvaluateWithOptions(query, 5, options);
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), util::StatusCode::kDeadlineExceeded);
   }
   // The same engines, same query, no deadline: full parity.
-  ExpectBitIdentical(*fanout.EvaluateWithOptions(query, 5, {}),
-                     mono.Evaluate(query, 5), "fanout-parity");
+  ExpectBitIdentical(*segments.EvaluateWithOptions(query, 5, {}),
+                     mono.Evaluate(query, 5), "segments-parity");
   ExpectBitIdentical(*over_live.EvaluateWithOptions(query, 5, {}),
                      mono.Evaluate(query, 5), "live-parity");
 }
@@ -239,10 +237,8 @@ TEST(ChaosEngineTest, ConcurrentFleetSurvivesScriptedFaults) {
   const size_t vocab = 16;
   corpus::Corpus corpus = SynthCorpus(vocab, 24, 0xBEEF);
   std::unique_ptr<LiveIndex> segmented =
-      experiments::BuildSegmentedIndex(corpus, 3);
-  util::ThreadPool fanout_pool(2);
-  search::LiveSearchEngine inner(corpus, *segmented, search::MakeBm25Scorer(),
-                                 &fanout_pool);
+      toppriv::testing::SegmentedIndex(corpus, 3);
+  search::LiveSearchEngine inner(corpus, *segmented, search::MakeBm25Scorer());
   ManualClock clock;
   FaultInjectingEngine chaos(&inner, &clock);
   const std::vector<Doc> queries = SynthQueries(vocab, 8, 0xF00D);

@@ -7,6 +7,8 @@
 
 #include "experiments/fixture.h"
 #include "experiments/runner.h"
+#include "search/engine.h"
+#include "search/scorer.h"
 
 namespace toppriv::experiments {
 namespace {
@@ -59,6 +61,22 @@ TEST(FixtureTest, BuildsConsistentState) {
   EXPECT_EQ(model.vocab_size(), fixture.corpus().vocabulary_size());
   // Second call returns the same object (memoized).
   EXPECT_EQ(&fixture.model(15), &model);
+}
+
+// The shard fields and MakeEngine's 4-argument overload remain only for
+// callers that still name them: 1 is accepted, anything else dies rather
+// than being silently ignored.
+TEST(FixtureTest, ShardShimAcceptsOnlyOne) {
+  ExperimentFixture fixture(TinyConfig());
+  auto engine = fixture.MakeEngine(search::MakeBm25Scorer(), 1, 1,
+                                   search::EvalStrategy::kTAAT);
+  EXPECT_NE(dynamic_cast<search::SearchEngine*>(engine.get()), nullptr);
+  EXPECT_DEATH(fixture.MakeEngine(search::MakeBm25Scorer(), 2, 1,
+                                  std::nullopt),
+               "num_shards");
+  FixtureConfig config = TinyConfig();
+  config.shard_threads = 4;
+  EXPECT_DEATH(ExperimentFixture{config}, "shard_threads");
 }
 
 TEST(FixtureTest, ModelCacheRoundtrip) {

@@ -22,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "experiments/fixture.h"
 #include "index/live/live_index.h"
 #include "search/engine.h"
 #include "search/live_engine.h"
@@ -32,7 +31,6 @@
 #include "topicmodel/inference.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace toppriv {
 namespace {
@@ -118,8 +116,7 @@ uint64_t ResultDigest(const search::QueryEngine& engine,
 
 TEST(EngineTest, GoldenResultDigest) {
   // One constant per scorer: the monolithic SearchEngine and a 3-segment
-  // LiveSearchEngine, sequential and with a pooled fan-out, must all
-  // reproduce it.
+  // LiveSearchEngine must both reproduce it.
   const uint64_t kGolden[3] = {0x2cc6f4fd8c72665aull,   // BM25
                                0x34a5f5807158f7ebull,   // TF-IDF
                                0x9fda4d34aaa3ffe4ull};  // LM-Dirichlet
@@ -141,9 +138,8 @@ TEST(EngineTest, GoldenResultDigest) {
     queries.push_back(RandomTerms(300 + i, len, world.index.num_terms()));
   }
   std::unique_ptr<index::live::LiveIndex> live =
-      experiments::BuildSegmentedIndex(world.corpus, 3);
+      toppriv::testing::SegmentedIndex(world.corpus, 3);
   ASSERT_EQ(live->num_segments(), 3u);
-  util::ThreadPool eval_pool(3);
 
   for (int kind = 0; kind < 3; ++kind) {
     SCOPED_TRACE(MakeScorer(kind)->Name());
@@ -151,17 +147,12 @@ TEST(EngineTest, GoldenResultDigest) {
                                     MakeScorer(kind));
     const search::LiveSearchEngine segmented(world.corpus, *live,
                                              MakeScorer(kind));
-    const search::LiveSearchEngine pooled(world.corpus, *live,
-                                          MakeScorer(kind), &eval_pool);
     const uint64_t mono_digest = ResultDigest(mono, queries);
     EXPECT_EQ(mono_digest, kGolden[kind])
         << std::hex << "SearchEngine digest 0x" << mono_digest;
     const uint64_t segmented_digest = ResultDigest(segmented, queries);
     EXPECT_EQ(segmented_digest, kGolden[kind])
         << std::hex << "LiveSearchEngine digest 0x" << segmented_digest;
-    const uint64_t pooled_digest = ResultDigest(pooled, queries);
-    EXPECT_EQ(pooled_digest, kGolden[kind])
-        << std::hex << "pooled LiveSearchEngine digest 0x" << pooled_digest;
   }
 }
 

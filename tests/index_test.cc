@@ -121,7 +121,6 @@ TEST_P(PostingBlockProperty, RoundTripsThroughBlocksAtEverySize) {
       EXPECT_EQ(block.docs[i], expected[covered + i].doc);
       EXPECT_EQ(block.tfs[i], expected[covered + i].tf);
     }
-    EXPECT_EQ(info.first_doc, block.docs[0]);
     EXPECT_EQ(info.last_doc, block.docs[block.count - 1]);
     covered += block.count;
   }

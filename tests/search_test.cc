@@ -271,7 +271,6 @@ TEST(ScorerTest, LengthKeyIsByValue) {
   moved.avg_doc_length = stats.avg_doc_length + 1.0;
   const Bm25Scorer bm25;
   const LengthKey key = bm25.length_key(stats);
-  EXPECT_TRUE(key.cacheable);
   // Equal parameters and statistics: the same key, whichever object.
   EXPECT_EQ(Bm25Scorer(1.2, 0.75).length_key(stats).bits, key.bits);
   // Any parameter, the average length, or the scorer kind moves it.
@@ -572,45 +571,6 @@ TEST(EvalKernelTest, LiveEngineFollowsAvgDocLengthAcrossRefresh) {
       ExpectSameBits(engine.Evaluate(queries[qi], k), want[qi]);
       other.Evaluate(queries[qi], k);
     }
-  }
-}
-
-// A scorer the kernel cannot see into: BM25 behind the base interface. The
-// evaluation core serves it through its generic instantiation, with
-// virtual calls and a length table rebuilt on every use.
-class OpaqueBm25 : public Scorer {
- public:
-  PreparedTerm PrepareTerm(const CollectionStats& stats, uint32_t df,
-                           uint32_t qtf) const override {
-    return inner_.PrepareTerm(stats, df, qtf);
-  }
-  double LengthPart(const CollectionStats& stats,
-                    uint32_t doc_length) const override {
-    return inner_.LengthPart(stats, doc_length);
-  }
-  double ScorePosting(const PreparedTerm& term, double length_part,
-                      uint32_t tf) const override {
-    return inner_.ScorePosting(term, length_part, tf);
-  }
-  std::string Name() const override { return "opaque-bm25"; }
-
- private:
-  Bm25Scorer inner_;
-};
-
-TEST(EvalKernelTest, GenericInstantiationMatchesTheInlinedOne) {
-  const auto& world = toppriv::testing::World();
-  const auto queries = KernelQueries(40);
-  EXPECT_EQ(OpaqueBm25().kind(), Scorer::Kind::kCustom);
-  EXPECT_FALSE(OpaqueBm25().length_key(CollectionStats::Of(world.index))
-                   .cacheable);
-  SearchEngine inlined(world.corpus, world.index, MakeBm25Scorer());
-  SearchEngine generic(world.corpus, world.index,
-                       std::make_unique<OpaqueBm25>());
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    SCOPED_TRACE(::testing::Message() << "query " << qi);
-    ExpectSameBits(generic.Evaluate(queries[qi], 10),
-                   inlined.Evaluate(queries[qi], 10));
   }
 }
 

@@ -1,5 +1,6 @@
 // Shared fixtures for the test suite: a small deterministic corpus and a
-// trained LDA model, built once per test binary (training is the slow part).
+// trained LDA model, built once per test binary (training is the slow part),
+// plus a helper that serves a corpus as several sealed live-index segments.
 #ifndef TOPPRIV_TESTS_TEST_HELPERS_H_
 #define TOPPRIV_TESTS_TEST_HELPERS_H_
 
@@ -10,8 +11,10 @@
 #include "corpus/generator.h"
 #include "corpus/workload.h"
 #include "index/inverted_index.h"
+#include "index/live/live_index.h"
 #include "topicmodel/gibbs_trainer.h"
 #include "topicmodel/lda_model.h"
+#include "util/check.h"
 
 namespace toppriv::testing {
 
@@ -65,6 +68,30 @@ inline corpus::Corpus TinyCorpus() {
   c.AddDocument("fin1", {stock, market, market, stock, stock});
   c.AddDocument("mix1", {tank, stock});
   return c;
+}
+
+/// `corpus` as `num_segments` sealed segments of one in-memory LiveIndex,
+/// over the contiguous near-equal doc ranges [N*s/K, N*(s+1)/K), each range
+/// one ingest batch published on its own (K <= N, so none is empty). With
+/// merge_factor K + 1 no merge collapses them; dense ids equal corpus doc
+/// ids and the term space is synced to the vocabulary, so a
+/// LiveSearchEngine over it must match the monolithic SearchEngine bit for
+/// bit.
+inline std::unique_ptr<index::live::LiveIndex> SegmentedIndex(
+    const corpus::Corpus& corpus, size_t num_segments) {
+  const size_t n = corpus.num_documents();
+  TOPPRIV_CHECK(num_segments >= 1 && num_segments <= n);
+  index::live::LiveIndexOptions options;
+  options.max_writer_docs = (n + num_segments - 1) / num_segments;
+  options.merge_factor = num_segments + 1;
+  auto live = std::make_unique<index::live::LiveIndex>(options);
+  live->EnsureTermSpace(corpus.vocabulary_size());
+  for (size_t s = 0; s < num_segments; ++s) {
+    const size_t begin = n * s / num_segments;
+    const size_t end = n * (s + 1) / num_segments;
+    index::live::StreamCorpus(corpus, begin, end, end - begin, live.get());
+  }
+  return live;
 }
 
 }  // namespace toppriv::testing

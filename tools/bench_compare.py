@@ -74,24 +74,22 @@ def serving_cells(doc, path):
     """name -> Cell for a serving_throughput run."""
     cells = {}
     for c in doc.get("serving_cells", []):
-        key = "serving/{}/shards{}/threads{}".format(
+        key = "serving/{}/threads{}".format(
             metric(c, "strategy", path, "serving"),
-            metric(c, "shards", path, "serving"),
             metric(c, "threads", path, "serving"))
         cells[key + "/qps"] = Cell(
             metric(c, "queries_per_second", path, "serving"), True)
         cells[key + "/cps"] = Cell(
             metric(c, "cycles_per_second", path, "serving"), True)
     for c in doc.get("retrieval_cells", []):
-        key = "retrieval/{}/shards{}".format(
-            metric(c, "strategy", path, "retrieval"),
-            metric(c, "shards", path, "retrieval"))
+        key = "retrieval/{}".format(
+            metric(c, "strategy", path, "retrieval"))
         cells[key + "/qps"] = Cell(
             metric(c, "queries_per_second", path, "retrieval"), True)
     for c in doc.get("live_cells", []):
-        key = "live/{}/threads{}/eval{}".format(
+        key = "live/{}/threads{}".format(
             metric(c, "strategy", path, "live"),
-            metric(c, "threads", path, "live"), c.get("eval_threads", 1))
+            metric(c, "threads", path, "live"))
         cells[key + "/qps"] = Cell(
             metric(c, "queries_per_second", path, "live"), True)
         cells[key + "/ingest_dps"] = Cell(
