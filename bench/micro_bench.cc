@@ -277,12 +277,35 @@ uint64_t KernelInstrumentedQuery(search::SearchEngine& engine, size_t* qi) {
   return KernelQueryEvaluation(engine, qi);
 }
 
-uint64_t KernelLdaInference(const topicmodel::LdaInferencer& inferencer,
-                            size_t* qi) {
+/// One query of exactly `length` tokens per workload query: the workload
+/// read as one token stream from that query's start. The sweep over
+/// lengths shows where the sampler's O(L) document bucket meets the
+/// O(log T) smoothing search; the protected cycle's queries average ~15.
+std::vector<std::vector<text::TermId>> InferenceQueries(size_t length) {
   const auto& world = World();
-  const auto& q = world.workload[*qi % world.workload.size()];
+  std::vector<text::TermId> stream;
+  for (const auto& q : world.workload) {
+    stream.insert(stream.end(), q.term_ids.begin(), q.term_ids.end());
+  }
+  std::vector<std::vector<text::TermId>> queries;
+  size_t start = 0;
+  for (const auto& q : world.workload) {
+    std::vector<text::TermId> query(length);
+    for (size_t i = 0; i < length; ++i) {
+      query[i] = stream[(start + i) % stream.size()];
+    }
+    queries.push_back(std::move(query));
+    start += q.term_ids.size();
+  }
+  return queries;
+}
+
+uint64_t KernelLdaInference(
+    const topicmodel::LdaInferencer& inferencer,
+    const std::vector<std::vector<text::TermId>>& queries, size_t* qi) {
+  const auto& q = queries[*qi % queries.size()];
   ++*qi;
-  return inferencer.InferQuery(q.term_ids).size();
+  return inferencer.InferQuery(q).size();
 }
 
 }  // namespace
@@ -433,12 +456,19 @@ BENCHMARK(BM_InstrumentedQuery)->Unit(benchmark::kMicrosecond);
 void BM_LdaInference(benchmark::State& state) {
   const auto& world = World();
   topicmodel::LdaInferencer inferencer(world.model);
+  const auto queries =
+      InferenceQueries(static_cast<size_t>(state.range(0)));
   size_t qi = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(KernelLdaInference(inferencer, &qi));
+    benchmark::DoNotOptimize(KernelLdaInference(inferencer, queries, &qi));
   }
 }
-BENCHMARK(BM_LdaInference)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_LdaInference)  // query length in tokens
+    ->Arg(1)
+    ->Arg(4)
+    ->Arg(15)
+    ->Arg(57)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_GhostGeneration(benchmark::State& state) {
   const auto& world = World();
@@ -611,11 +641,12 @@ int main(int argc, char** argv) {
     RunKernel("InstrumentedQuery", 2000,
               [&] { return KernelInstrumentedQuery(engine, &qi); });
   }
-  {
+  for (size_t length : {1, 4, 15, 57}) {
     topicmodel::LdaInferencer inferencer(world.model);
+    const auto queries = InferenceQueries(length);
     size_t qi = 0;
-    RunKernel("LdaInference", 200,
-              [&] { return KernelLdaInference(inferencer, &qi); });
+    RunKernel(("LdaInference/len" + std::to_string(length)).c_str(), 200,
+              [&] { return KernelLdaInference(inferencer, queries, &qi); });
   }
   if (!json_path.empty()) WriteJson(json_path);
   return 0;

@@ -4,6 +4,18 @@
 // Inference folds the query into the trained model by Gibbs-sampling topic
 // assignments for the query tokens with phi held fixed — the same
 // "inference mode" the paper uses GibbsLDA++ for.
+//
+// The sampler splits each token's conditional into two buckets, after
+// SparseLDA (Yao, Mimno & McCallum, KDD 2009):
+//   (n_t + alpha) * Phi(t, w) = alpha * Phi(t, w) + n_t * Phi(t, w).
+// The smoothing bucket does not depend on the counts, so its CDF is built
+// once per call; the document bucket has at most L nonzero topics. A draw
+// costs O(L + log T) instead of a T-long prefix sum. The random stream is
+// SplitMix64, seeded from the options' seed and the query's terms, so a
+// posterior is a pure function of (model, options, terms). The draws
+// differ from a straightforward full-CDF sampler's, the distribution does
+// not: tests/reference_sampler.h keeps that sampler, and topicmodel_test
+// holds this one within the reference's own seed-to-seed spread.
 #ifndef TOPPRIV_TOPICMODEL_INFERENCE_H_
 #define TOPPRIV_TOPICMODEL_INFERENCE_H_
 
@@ -26,33 +38,27 @@ struct InferenceOptions {
   uint64_t seed = 11;
 };
 
-/// Reusable Gibbs scratch buffers for InferQuery. One inference needs
-/// seven vectors; on the serving hot path (one inference per candidate
-/// ghost) that allocator traffic dominates, so callers in a loop keep a
-/// workspace alive across calls. Every buffer is fully rewritten before it
-/// is read, so reuse carries no state between calls. Not thread-safe: use
-/// one workspace per thread (the workspace-less InferQuery overload does
-/// exactly that).
-///
-/// `column` and `weight` take the loop-invariant work out of the sampler's
-/// inner loop, which is bound by the serial `total += p` prefix sum: the
-/// strided float Phi(t, w) reads are gathered into doubles ONCE per call
-/// (not once per sweep), and the `counts[t] + alpha` conversions are kept
-/// current at the two topics a token's resampling changes. (A word-major
-/// copy of Phi that still converted inside every sweep changed only the
-/// layout, which is not the bottleneck, and measured 0.79-1.04x.) Each
-/// product `weight[t] * column[i*T + t]` is the exact double the direct
-/// expression computes, in the same order, so results are bit-identical.
+/// Reusable Gibbs scratch buffers for InferQuery. On the serving hot path
+/// (one inference per candidate ghost) allocator traffic would dominate,
+/// so callers in a loop keep a workspace alive across calls. Every buffer
+/// is rewritten before it is read, so reuse carries no state between
+/// calls. Not thread-safe: use one workspace per thread (the
+/// workspace-less InferQuery overload does exactly that).
 struct InferenceWorkspace {
   std::vector<text::TermId> tokens;
   std::vector<uint32_t> counts;
   std::vector<uint16_t> z;
-  /// Token-major Phi columns: column[i*T + t] = Phi(t, tokens[i]).
-  std::vector<double> column;
-  /// weight[t] = double(counts[t]) + alpha.
-  std::vector<double> weight;
-  std::vector<double> cdf;
-  std::vector<double> accum;
+  /// Token-major smoothing CDFs: smoothing[i*T + t] is the prefix sum of
+  /// alpha * Phi(s, tokens[i]) over s <= t.
+  std::vector<double> smoothing;
+  /// The topics with a nonzero count, in slots [0, live), and each such
+  /// topic's slot.
+  std::vector<uint16_t> topics;
+  std::vector<uint16_t> position;
+  /// Running sums of counts[t] * Phi(t, w) over the live topics.
+  std::vector<double> doc_cdf;
+  /// Per-topic counts summed over the kept sweeps.
+  std::vector<uint64_t> count_sums;
 };
 
 /// Fold-in Gibbs inferencer over a fixed trained model.

@@ -10,13 +10,8 @@ namespace toppriv::util {
 
 namespace {
 
-// SplitMix64 finalizer; used to decorrelate forked seeds.
-uint64_t Mix(uint64_t z) {
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
-}
+// The first SplitMix64 output of seed `z`; decorrelates forked seeds.
+uint64_t Mix(uint64_t z) { return SplitMix64(z).Next(); }
 
 }  // namespace
 

@@ -92,6 +92,35 @@ class Rng {
   uint64_t seed_;
 };
 
+/// SplitMix64 (Steele, Lea & Flood, OOPSLA 2014; the seeding generator of
+/// Blackman & Vigna's xoshiro family): one word of state, so seeding costs
+/// nothing. Rng seeds a 312-word Mersenne Twister, which is too costly for a
+/// fresh stream per call. Used by the fold-in sampler, which seeds one
+/// stream per inference.
+class SplitMix64 {
+ public:
+  explicit SplitMix64(uint64_t seed) : state_(seed) {}
+
+  uint64_t Next() {
+    uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return z ^ (z >> 31);
+  }
+
+  /// Uniform double in [0, 1) from the top 53 bits.
+  double Uniform() { return static_cast<double>(Next() >> 11) * 0x1.0p-53; }
+
+  /// Integer in [0, n) by a multiply-shift of the top 32 bits, for
+  /// 0 < n < 2^32; the bias is below n / 2^32.
+  uint32_t UniformInt(uint32_t n) {
+    return static_cast<uint32_t>(((Next() >> 32) * n) >> 32);
+  }
+
+ private:
+  uint64_t state_;
+};
+
 /// Builds a cumulative distribution from unnormalized weights, for use with
 /// Rng::DiscreteFromCdf. Returns an empty vector if all weights are zero.
 std::vector<double> BuildCdf(const std::vector<double>& weights);

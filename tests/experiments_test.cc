@@ -1,6 +1,8 @@
 // Tests for the experiment fixture and sweep runners.
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "experiments/runner.h"
 #include "search/engine.h"
 #include "search/scorer.h"
+#include "util/hash.h"
 
 namespace toppriv::experiments {
 namespace {
@@ -140,6 +143,45 @@ TEST(FixtureTest, ModelCacheMissesAfterAVersionBump) {
   EXPECT_TRUE(std::filesystem::exists(current)) << current;
   EXPECT_NE(bumped, current);
   EXPECT_FALSE(std::filesystem::exists(bumped)) << bumped;
+}
+
+// Every trained-model digest the model cache has been keyed at, oldest
+// first: FNV-1a over the serialized bytes of TinyConfig's 12-topic model.
+// A change to the trainer, its seeding or LdaModel's serialization moves
+// the digest, and must also bump kModelCacheVersion so that caches written
+// by the old code miss: append a row at the new version, and never edit a
+// row in place.
+struct TrainedModelGolden {
+  uint64_t version;
+  uint64_t digest;
+};
+constexpr TrainedModelGolden kTrainedModelGoldens[] = {
+    {2, 0xd2548e331cc2731bull},
+};
+
+TEST(FixtureTest, TrainedModelGoldenMovesWithTheCacheVersion) {
+  FixtureConfig config = TinyConfig();
+  config.cache_dir = ::testing::TempDir() + "/toppriv_fixture_cache_golden";
+  std::filesystem::remove_all(config.cache_dir);  // train, never load
+  ExperimentFixture fixture(config);
+  uint64_t h = util::kFnv1aOffsetBasis;
+  for (unsigned char c : fixture.model(12).Serialize()) {
+    h = util::Fnv1aStep(h, c);
+  }
+  const size_t rows = std::size(kTrainedModelGoldens);
+  for (size_t i = 1; i < rows; ++i) {
+    EXPECT_LT(kTrainedModelGoldens[i - 1].version,
+              kTrainedModelGoldens[i].version);
+    EXPECT_NE(kTrainedModelGoldens[i - 1].digest,
+              kTrainedModelGoldens[i].digest);
+  }
+  const TrainedModelGolden& current = kTrainedModelGoldens[rows - 1];
+  EXPECT_EQ(current.version, kModelCacheVersion)
+      << "kModelCacheVersion moved without a trained-model golden row";
+  EXPECT_EQ(h, current.digest)
+      << std::hex << "trained model digest 0x" << h
+      << ": the trainer's output changed; bump kModelCacheVersion and "
+         "append a row";
 }
 
 TEST(RunnerTest, TopPrivCellProducesSaneMetrics) {

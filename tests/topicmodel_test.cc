@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "corpus/topic_spec.h"
+#include "tests/reference_sampler.h"
 #include "tests/test_helpers.h"
 #include "topicmodel/gibbs_trainer.h"
 #include "topicmodel/inference.h"
@@ -240,16 +241,47 @@ TEST(GibbsTrainerTest, RecoversPlantedTopics) {
 
 // ------------------------------------------------------------- Inferencer --
 
+/// The distributional suite's queries: the World() workload plus the
+/// shapes the sampler treats specially: length 1 (the document bucket is
+/// always empty), repeated terms, and L > T (the nonzero-topic list can
+/// fill up).
+std::vector<std::vector<text::TermId>> SamplerQueries() {
+  const auto& world = World();
+  std::vector<std::vector<text::TermId>> queries;
+  for (const auto& q : world.workload) queries.push_back(q.term_ids);
+  const std::vector<text::TermId>& first = world.workload[0].term_ids;
+  queries.push_back({first[0]});
+  queries.push_back({first[0], first[0], first[0], first[1], first[1]});
+  std::vector<text::TermId> long_query;
+  for (const auto& q : world.workload) {
+    long_query.insert(long_query.end(), q.term_ids.begin(), q.term_ids.end());
+  }
+  long_query.resize(world.model.num_topics() + 17);
+  queries.push_back(long_query);
+  return queries;
+}
+
+double L1(const std::vector<double>& a, const std::vector<double>& b) {
+  double sum = 0.0;
+  for (size_t t = 0; t < a.size(); ++t) sum += std::fabs(a[t] - b[t]);
+  return sum;
+}
+
 TEST(InferencerTest, PosteriorIsDistribution) {
+  // Sums to 1, and no entry falls below alpha / (L + T*alpha), the value
+  // of a topic no kept sweep assigned (L = in-vocabulary tokens).
   const auto& world = World();
   LdaInferencer inferencer(world.model);
-  for (size_t qi = 0; qi < 5; ++qi) {
-    std::vector<double> posterior =
-        inferencer.InferQuery(world.workload[qi].term_ids);
+  const double alpha = world.model.alpha();
+  const auto num_topics = static_cast<double>(world.model.num_topics());
+  for (const auto& q : SamplerQueries()) {
+    std::vector<double> posterior = inferencer.InferQuery(q);
     ASSERT_EQ(posterior.size(), world.model.num_topics());
     double sum = std::accumulate(posterior.begin(), posterior.end(), 0.0);
-    EXPECT_NEAR(sum, 1.0, 1e-9);
-    for (double p : posterior) EXPECT_GT(p, 0.0);
+    EXPECT_NEAR(sum, 1.0, 1e-12);
+    const double floor =
+        alpha / (static_cast<double>(q.size()) + num_topics * alpha);
+    for (double p : posterior) EXPECT_GE(p, floor);
   }
 }
 
@@ -261,12 +293,18 @@ TEST(InferencerTest, DeterministicForSameQuery) {
   EXPECT_EQ(a, b);
 }
 
-TEST(InferencerTest, EmptyQueryIsUniform) {
+TEST(InferencerTest, EmptyAndAllOutOfVocabularyQueriesAreUniform) {
   const auto& world = World();
   LdaInferencer inferencer(world.model);
-  std::vector<double> posterior = inferencer.InferQuery({});
-  for (double p : posterior) {
-    EXPECT_NEAR(p, 1.0 / static_cast<double>(world.model.num_topics()), 1e-12);
+  const auto vocab = static_cast<text::TermId>(world.model.vocab_size());
+  const std::vector<std::vector<text::TermId>> queries = {{},
+                                                          {vocab, vocab + 5}};
+  for (const auto& q : queries) {
+    std::vector<double> posterior = inferencer.InferQuery(q);
+    ASSERT_EQ(posterior.size(), world.model.num_topics());
+    for (double p : posterior) {
+      EXPECT_EQ(p, 1.0 / static_cast<double>(world.model.num_topics()));
+    }
   }
 }
 
@@ -283,8 +321,9 @@ TEST(InferencerTest, OutOfVocabularyTermsIgnored) {
 TEST(InferencerTest, WorkspaceReuseIsBitIdentical) {
   // One workspace over a long query, then a short one, then an all-OOV
   // one, then the long one again: every result must equal a fresh
-  // workspace's, so no buffer (Phi columns, topic weights, counts, CDF)
-  // carries state from one call into the next.
+  // workspace's and the thread-local overload's, so no buffer (smoothing
+  // CDFs, counts, the nonzero-topic list and its positions) carries state
+  // from one call into the next.
   const auto& world = World();
   LdaInferencer inferencer(world.model);
   const auto vocab = static_cast<text::TermId>(world.model.vocab_size());
@@ -302,10 +341,84 @@ TEST(InferencerTest, WorkspaceReuseIsBitIdentical) {
   InferenceWorkspace reused;
   for (size_t i = 0; i < queries.size(); ++i) {
     InferenceWorkspace fresh;
-    EXPECT_EQ(inferencer.InferQuery(queries[i], &reused),
-              inferencer.InferQuery(queries[i], &fresh))
+    const std::vector<double> posterior =
+        inferencer.InferQuery(queries[i], &reused);
+    EXPECT_EQ(posterior, inferencer.InferQuery(queries[i], &fresh))
         << "query " << i;
+    EXPECT_EQ(posterior, inferencer.InferQuery(queries[i])) << "query " << i;
   }
+}
+
+TEST(SamplerDistributionTest, WithinTheReferenceSeedToSeedBand) {
+  // The sampler draws from the exact sampler's conditional with other
+  // random numbers. Both are compared with the same reference draw under
+  // another seed: if the distributions agree, the sampler is as far from
+  // it as the reference itself is. Mean per-query L1 over 4 seeds; the
+  // margin allows 10% for the finite number of draws.
+  const auto& world = World();
+  const auto queries = SamplerQueries();
+  double sampler_l1 = 0.0;
+  double reference_l1 = 0.0;
+  size_t n = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    InferenceOptions options;
+    options.seed = seed;
+    InferenceOptions other = options;
+    other.seed = seed + 100;
+    const LdaInferencer inferencer(world.model, options);
+    for (const auto& q : queries) {
+      const std::vector<double> baseline =
+          toppriv::testing::ReferenceInferQuery(world.model, other, q);
+      sampler_l1 += L1(inferencer.InferQuery(q), baseline);
+      reference_l1 += L1(
+          toppriv::testing::ReferenceInferQuery(world.model, options, q),
+          baseline);
+      ++n;
+    }
+  }
+  sampler_l1 /= static_cast<double>(n);
+  reference_l1 /= static_cast<double>(n);
+  EXPECT_GT(reference_l1, 0.0);
+  EXPECT_LE(sampler_l1, reference_l1 * 1.10)
+      << "sampler " << sampler_l1 << ", reference " << reference_l1;
+}
+
+TEST(SamplerDistributionTest, MeanPosteriorMatchesTheReference) {
+  // Per-query L1 is dominated by each draw's noise, so a small bias hides
+  // in it. Averaging over many seeds shrinks the noise but not a bias: the
+  // sampler's mean posterior must be as close to the reference's as a
+  // second reference mean over other seeds is, within 25%.
+  const auto& world = World();
+  const auto queries = SamplerQueries();
+  constexpr uint64_t kSeeds = 100;
+  double sampler_l1 = 0.0;
+  double reference_l1 = 0.0;
+  for (const auto& q : queries) {
+    std::vector<double> sampler(world.model.num_topics(), 0.0);
+    std::vector<double> reference = sampler;
+    std::vector<double> other = sampler;
+    for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      InferenceOptions options;
+      options.seed = seed;
+      const std::vector<double> a =
+          LdaInferencer(world.model, options).InferQuery(q);
+      options.seed = seed + 1000;
+      const std::vector<double> b =
+          toppriv::testing::ReferenceInferQuery(world.model, options, q);
+      options.seed = seed + 2000;
+      const std::vector<double> c =
+          toppriv::testing::ReferenceInferQuery(world.model, options, q);
+      for (size_t t = 0; t < a.size(); ++t) {
+        sampler[t] += a[t] / kSeeds;
+        reference[t] += b[t] / kSeeds;
+        other[t] += c[t] / kSeeds;
+      }
+    }
+    sampler_l1 += L1(sampler, reference);
+    reference_l1 += L1(other, reference);
+  }
+  EXPECT_LE(sampler_l1, reference_l1 * 1.25)
+      << "sampler " << sampler_l1 << ", reference " << reference_l1;
 }
 
 TEST(InferencerTest, TopicalQueryConcentratesPosterior) {

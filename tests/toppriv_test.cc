@@ -1,6 +1,7 @@
 // Unit and property tests for the TopPriv core: belief bookkeeping, the
 // privacy model and the ghost-query generation algorithm.
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <vector>
@@ -405,6 +406,100 @@ TEST_F(GhostGeneratorTest, CachedGhostExtensionIsPrefixStable) {
     ASSERT_GE(now.size(), old_ghost.size());
     EXPECT_TRUE(std::equal(old_ghost.begin(), old_ghost.end(), now.begin()))
         << "topic " << topic << " ghost was resampled, not extended";
+  }
+}
+
+// ------------------------------------------------------ Sampler cycle band --
+
+struct CycleStats {
+  double ghosts = 0.0;          // mean ghosts per cycle
+  double met_fraction = 0.0;    // share of cycles with met_epsilon2
+  double exposure_after = 0.0;  // mean exposure_after
+};
+
+/// Protects every World() workload query once, with inference and ghost
+/// choice both seeded by `seed`.
+CycleStats ProtectWorkload(double epsilon2, uint64_t seed) {
+  const auto& world = World();
+  topicmodel::InferenceOptions options;
+  options.seed = seed;
+  const topicmodel::LdaInferencer inferencer(world.model, options);
+  PrivacySpec spec;
+  spec.epsilon2 = epsilon2;
+  GhostQueryGenerator generator(world.model, inferencer, spec);
+  util::Rng rng(seed);
+  CycleStats stats;
+  for (const auto& q : world.workload) {
+    const QueryCycle cycle = generator.Protect(q.term_ids, &rng);
+    stats.ghosts += static_cast<double>(cycle.num_ghosts());
+    stats.met_fraction += cycle.met_epsilon2 ? 1.0 : 0.0;
+    stats.exposure_after += cycle.exposure_after;
+  }
+  const auto n = static_cast<double>(world.workload.size());
+  stats.ghosts /= n;
+  stats.met_fraction /= n;
+  stats.exposure_after /= n;
+  return stats;
+}
+
+TEST(SamplerCycleBandTest, CycleStatsStayWithinTheReferenceSpread) {
+  // The library sampler draws differently from the exact reference sampler
+  // (tests/reference_sampler.h) but must protect cycles as well. Per-seed
+  // ProtectWorkload figures of the reference, recorded with it as the
+  // generator's inferencer (it was LdaInferencer's sampler before the
+  // sparse-bucket split; the generator takes only an LdaInferencer, so
+  // they are constants here). Over the same 8 seeds, the sampler's mean of
+  // each statistic must lie within the reference's per-seed [min, max].
+  // epsilon2 = 1% is the paper's default and always met; 0.2% is tight
+  // enough that some cycles exhaust their masking topics first.
+  struct Band {
+    double epsilon2;
+    CycleStats reference[8];
+  };
+  const Band kBands[] = {
+      {0.01,
+       {{8.125, 1.0, 0.007796},
+        {8.075, 1.0, 0.007765},
+        {7.925, 1.0, 0.007912},
+        {7.900, 1.0, 0.007910},
+        {7.775, 1.0, 0.007888},
+        {8.025, 1.0, 0.007879},
+        {7.750, 1.0, 0.007648},
+        {7.800, 1.0, 0.007879}}},
+      {0.002,
+       {{18.175, 0.975, 0.001564},
+        {18.650, 0.975, 0.001590},
+        {18.325, 0.950, 0.001573},
+        {18.875, 0.975, 0.001583},
+        {18.700, 0.975, 0.001583},
+        {18.775, 1.000, 0.001545},
+        {18.475, 1.000, 0.001538},
+        {18.775, 0.950, 0.001546}}},
+  };
+  for (const Band& band : kBands) {
+    SCOPED_TRACE(band.epsilon2);
+    CycleStats mean;
+    CycleStats lo = band.reference[0];
+    CycleStats hi = band.reference[0];
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      const CycleStats stats = ProtectWorkload(band.epsilon2, seed);
+      mean.ghosts += stats.ghosts / 8;
+      mean.met_fraction += stats.met_fraction / 8;
+      mean.exposure_after += stats.exposure_after / 8;
+      const CycleStats& ref = band.reference[seed - 1];
+      lo = {std::min(lo.ghosts, ref.ghosts),
+            std::min(lo.met_fraction, ref.met_fraction),
+            std::min(lo.exposure_after, ref.exposure_after)};
+      hi = {std::max(hi.ghosts, ref.ghosts),
+            std::max(hi.met_fraction, ref.met_fraction),
+            std::max(hi.exposure_after, ref.exposure_after)};
+    }
+    EXPECT_GE(mean.ghosts, lo.ghosts);
+    EXPECT_LE(mean.ghosts, hi.ghosts);
+    EXPECT_GE(mean.met_fraction, lo.met_fraction);
+    EXPECT_LE(mean.met_fraction, hi.met_fraction);
+    EXPECT_GE(mean.exposure_after, lo.exposure_after);
+    EXPECT_LE(mean.exposure_after, hi.exposure_after);
   }
 }
 
